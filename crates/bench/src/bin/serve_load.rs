@@ -10,7 +10,9 @@
 //!
 //! `--submit-only` submits and exits (the smoke job kills the server
 //! while the sweep is draining); `--verify-only` skips submission and
-//! polls sweep 1 (after the restart). The default does both.
+//! polls sweep 1, jobs 1 onward (after the restart, on a fresh journal).
+//! The default does both, and names the reference jobs from the first id
+//! the server acknowledged, so repeated runs against one server verify.
 
 use rvv_batch::BatchRunner;
 use rvv_ckpt::fnv1a;
@@ -52,14 +54,15 @@ fn specs(jobs: u64) -> Vec<JobSpec> {
         .collect()
 }
 
-/// What the server must serve for sweep 1: the same jobs through the
-/// serial batch runner, formatted like `GET /sweeps/<id>`.
-fn serial_reference(specs: &[JobSpec]) -> String {
+/// What the server must serve for a sweep whose jobs were assigned ids
+/// `first..`: the same jobs through the serial batch runner, formatted
+/// like `GET /sweeps/<id>`.
+fn serial_reference(specs: &[JobSpec], first: u64) -> String {
     let engine = Arc::new(Engine::builder().default_fuel_budget(1_000_000_000).build());
     let jobs = specs
         .iter()
-        .enumerate()
-        .map(|(i, s)| s.to_job(format!("job-{}", i + 1)))
+        .zip(first..)
+        .map(|(s, id)| s.to_job(format!("job-{id}")))
         .collect();
     let result = BatchRunner::with_engine(1, engine).run(jobs);
     let mut body = String::new();
@@ -74,14 +77,23 @@ fn serial_reference(specs: &[JobSpec]) -> String {
     )
 }
 
+/// The sweep id and first job id of a 202 reply
+/// (`sweep <id>\njobs <a>..=<b>\n`).
+fn parse_ack(reply: &str) -> Option<(u64, u64)> {
+    let mut lines = reply.lines();
+    let sweep = lines.next()?.strip_prefix("sweep ")?.parse().ok()?;
+    let (first, _) = lines.next()?.strip_prefix("jobs ")?.split_once("..=")?;
+    Some((sweep, first.parse().ok()?))
+}
+
 fn main() {
     let addr = addr_arg();
     let jobs = num_arg("--jobs").unwrap_or(40);
     let specs = specs(jobs);
     let started = Instant::now();
 
-    let sweep = if flag_arg("--verify-only") {
-        1
+    let (sweep, first) = if flag_arg("--verify-only") {
+        (1, 1)
     } else {
         let body: String = specs.iter().map(|s| format!("{s}\n")).collect();
         let (status, reply) = match request(&addr, "POST", "/sweeps", &body) {
@@ -95,20 +107,15 @@ fn main() {
             eprintln!("serve_load: submission refused ({status}): {reply}");
             std::process::exit(1)
         }
-        let sweep: u64 = reply
-            .lines()
-            .next()
-            .and_then(|l| l.strip_prefix("sweep "))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or_else(|| {
-                eprintln!("serve_load: unparseable acknowledgment: {reply}");
-                std::process::exit(1)
-            });
-        println!("submitted sweep {sweep} ({jobs} jobs) to {addr}");
+        let (sweep, first) = parse_ack(&reply).unwrap_or_else(|| {
+            eprintln!("serve_load: unparseable acknowledgment: {reply}");
+            std::process::exit(1)
+        });
+        println!("submitted sweep {sweep} ({jobs} jobs from job-{first}) to {addr}");
         if flag_arg("--submit-only") {
             return;
         }
-        sweep
+        (sweep, first)
     };
 
     let deadline = Instant::now() + Duration::from_secs(300);
@@ -133,7 +140,7 @@ fn main() {
     };
     let elapsed = started.elapsed();
 
-    let expected = serial_reference(&specs);
+    let expected = serial_reference(&specs, first);
     if body != expected {
         eprintln!(
             "serve_load: DIGEST MISMATCH\n--- served ---\n{body}\n--- expected ---\n{expected}"

@@ -86,7 +86,9 @@ pub struct QueueRecovery {
 /// The appending side of the durable queue.
 ///
 /// `fsync_every` has the [`JournalWriter`] semantics; the serve layer
-/// uses 1 so every submit is durable before its acknowledgment goes out.
+/// uses 1 so every submit is durable before its acknowledgment goes out,
+/// and journals each sweep's submits as one batch
+/// ([`QueueJournal::submit_all`]): one write, one fsync.
 #[derive(Debug)]
 pub struct QueueJournal {
     writer: JournalWriter,
@@ -193,20 +195,19 @@ impl QueueJournal {
                     max_id = max_id.max(id);
                 }
                 QueueEntry::Done { id, payload } => {
-                    if !submitted.contains_key(&id)
-                        && journal.salvage.is_empty() {
-                            // A clean journal with an orphan done means the
-                            // writer protocol was violated; replay refuses
-                            // rather than inventing history.
-                            return Err(bad(format!(
-                                "{}: done record for job {id} without a submit",
-                                path.display()
-                            )));
-                        }
-                        // The submit record was evidently inside a
-                        // quarantined range: the completion is the proof
-                        // the job was accepted *and* finished, so recover
-                        // it as completed rather than discarding it.
+                    if !submitted.contains_key(&id) && journal.salvage.is_empty() {
+                        // A clean journal with an orphan done means the
+                        // writer protocol was violated; replay refuses
+                        // rather than inventing history.
+                        return Err(bad(format!(
+                            "{}: done record for job {id} without a submit",
+                            path.display()
+                        )));
+                    }
+                    // The submit record was evidently inside a
+                    // quarantined range: the completion is the proof
+                    // the job was accepted *and* finished, so recover
+                    // it as completed rather than discarding it.
                     // First completion wins: a crash can land between a
                     // re-run and its done append, so duplicates are legal
                     // — and byte-identical for deterministic jobs anyway.
@@ -238,7 +239,23 @@ impl QueueJournal {
     /// Journal a submission. Durable (for `fsync_every = 1`) when this
     /// returns — acknowledge the client only after.
     pub fn submit(&mut self, id: u64, payload: &[u8]) -> io::Result<()> {
-        self.writer.append(&encode_entry(TAG_SUBMIT, id, payload))?;
+        self.submit_all([(id, payload)])
+    }
+
+    /// Journal a batch of submissions (one sweep) with one write and one
+    /// fsync (for `fsync_every = 1`): the same bytes as one
+    /// [`QueueJournal::submit`] per job, all durable when this returns. A
+    /// crash mid-batch replays a prefix of the batch as pending jobs —
+    /// none of which had been acknowledged.
+    pub fn submit_all<'a>(
+        &mut self,
+        jobs: impl IntoIterator<Item = (u64, &'a [u8])>,
+    ) -> io::Result<()> {
+        let records: Vec<Vec<u8>> = jobs
+            .into_iter()
+            .map(|(id, payload)| encode_entry(TAG_SUBMIT, id, payload))
+            .collect();
+        self.writer.append_all(records.iter().map(Vec::as_slice))?;
         Ok(())
     }
 

@@ -9,8 +9,8 @@
 //! panic, never an unbounded read.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
-use std::time::Duration;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
 
 /// Upper bound on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -19,6 +19,11 @@ const MAX_BODY_BYTES: usize = 256 * 1024;
 /// Per-connection socket timeout: a stalled peer cannot pin a handler
 /// thread forever.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
+/// After a 4xx refusal, at most this many unread request bytes are
+/// drained (and dropped) before the socket closes…
+const DISCARD_BYTES: usize = 2 * MAX_BODY_BYTES;
+/// …and for at most this long.
+const DISCARD_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// One parsed request.
 #[derive(Debug)]
@@ -33,7 +38,8 @@ pub struct Request {
 
 /// Read and parse one request from `stream`, enforcing the size caps.
 /// Returns `Ok(None)` for a malformed or oversized request *after* writing
-/// the 4xx response — the caller just closes the connection.
+/// the 4xx response and draining what is left of the request, so the
+/// peer reads the answer — the caller just closes the connection.
 pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
@@ -48,8 +54,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
             return Ok(None);
         }
         if head.len() + line.len() > MAX_HEAD_BYTES {
-            respond(stream, 431, "request head too large\n")?;
-            return Ok(None);
+            return refuse(stream, &mut reader, 431, "request head too large\n");
         }
         if line == "\r\n" || line == "\n" {
             break;
@@ -61,10 +66,7 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     let mut parts = request_line.split_ascii_whitespace();
     let (method, path) = match (parts.next(), parts.next()) {
         (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => {
-            respond(stream, 400, "malformed request line\n")?;
-            return Ok(None);
-        }
+        _ => return refuse(stream, &mut reader, 400, "malformed request line\n"),
     };
     let mut content_length = 0usize;
     for header in lines {
@@ -72,24 +74,57 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
             if name.eq_ignore_ascii_case("content-length") {
                 match value.trim().parse::<usize>() {
                     Ok(n) if n <= MAX_BODY_BYTES => content_length = n,
-                    _ => {
-                        respond(stream, 413, "body too large\n")?;
-                        return Ok(None);
-                    }
+                    _ => return refuse(stream, &mut reader, 413, "body too large\n"),
                 }
             }
         }
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
-    let body = match String::from_utf8(body) {
-        Ok(s) => s,
-        Err(_) => {
-            respond(stream, 400, "body must be utf-8\n")?;
-            return Ok(None);
+    match String::from_utf8(body) {
+        Ok(body) => Ok(Some(Request { method, path, body })),
+        Err(_) => refuse(stream, &mut reader, 400, "body must be utf-8\n"),
+    }
+}
+
+/// Answer a request with a 4xx and end the exchange so the peer reads
+/// the answer. Closing a socket with unread input makes the kernel send
+/// a reset, which can destroy the response before a client such as
+/// `curl` reads it; so the rest of the request is drained first.
+fn refuse(
+    stream: &mut TcpStream,
+    reader: &mut BufReader<TcpStream>,
+    code: u16,
+    body: &str,
+) -> io::Result<Option<Request>> {
+    respond(stream, code, body)?;
+    // The answer is out; draining only helps it arrive, so a peer that
+    // already hung up is not an error.
+    let _ = discard_rest(stream, reader);
+    Ok(None)
+}
+
+/// Half-close our side, then read and drop what the peer still sends
+/// until it closes, or until the byte or time cap — so a peer cannot pin
+/// the handler.
+fn discard_rest(stream: &TcpStream, reader: &mut BufReader<TcpStream>) -> io::Result<()> {
+    stream.shutdown(Shutdown::Write)?;
+    let deadline = Instant::now() + DISCARD_TIMEOUT;
+    let mut left = DISCARD_BYTES;
+    let mut buf = [0u8; 8192];
+    while left > 0 {
+        let remaining = deadline.saturating_duration_since(Instant::now());
+        if remaining.is_zero() {
+            break;
         }
-    };
-    Ok(Some(Request { method, path, body }))
+        stream.set_read_timeout(Some(remaining))?;
+        let want = left.min(buf.len());
+        match reader.read(&mut buf[..want])? {
+            0 => break,
+            n => left -= n,
+        }
+    }
+    Ok(())
 }
 
 fn status_text(code: u16) -> &'static str {

@@ -1,15 +1,18 @@
 //! The server proper: listener loop, connection handlers, worker pool,
 //! and the deadline supervisor — all over one [`ServeState`].
 //!
-//! Thread model: the accept loop polls a nonblocking listener so it can
-//! also watch the termination flag; each accepted connection gets a
-//! short-lived handler thread (one request per connection, so handlers
-//! are bounded by the socket timeout); `threads` long-lived workers drain
-//! the queue through [`execute_job`] with per-worker [`SessionPool`]s;
-//! one supervisor thread ticks the deadline registry. Graceful shutdown
-//! ([`Server::serve_until`] observing its predicate, or `POST /shutdown`)
-//! stops admissions, drains in-flight jobs to the journal, joins every
-//! worker, syncs, and returns `Ok(())` — exit code 0.
+//! Thread model: an acceptor thread blocks in `accept()` on the listener,
+//! so a connection is picked up the moment it arrives; each accepted
+//! connection gets a short-lived handler thread (one request per
+//! connection, so handlers are bounded by the socket timeout); `threads`
+//! long-lived workers drain the queue through [`execute_job`] with
+//! per-worker [`SessionPool`]s; one supervisor thread ticks the deadline
+//! registry. The thread that called [`Server::serve_until`] watches the
+//! termination predicate and the drain flag off the request path. On
+//! drain (the predicate, or `POST /shutdown`) it wakes the acceptor with
+//! one connection of its own, stops admissions, drains in-flight jobs to
+//! the journal, joins every worker, syncs, and returns `Ok(())` — exit
+//! code 0.
 
 use crate::http::{read_request, respond, respond_with, Request};
 use crate::spec::JobSpec;
@@ -18,14 +21,17 @@ use rvv_batch::{execute_job, BackoffPolicy, JobOutcome, SessionPool};
 use rvv_fault::ArmedFaults;
 use scanvec::HEAP_BASE;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// How often the accept loop polls for termination/drain progress.
-const ACCEPT_POLL: Duration = Duration::from_millis(2);
+/// How often the calling thread of [`Server::serve_until`] checks the
+/// termination predicate, the drain flag and the acceptor.
+const WATCH_POLL: Duration = Duration::from_millis(2);
+/// Bound on the one connection that wakes the acceptor for a drain.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 /// How often the deadline supervisor ticks.
 const SUPERVISOR_POLL: Duration = Duration::from_millis(5);
 
@@ -97,15 +103,19 @@ impl Server {
         })
     }
 
-    /// Run until `should_term` returns true (polled between accepts) or a
-    /// client posts `/shutdown`, then drain gracefully: refuse new
-    /// submissions, let workers finish (and journal) everything queued,
-    /// join all threads, sync the journal, return `Ok(())`.
+    /// Run until `should_term` returns true or a client posts
+    /// `/shutdown`, then drain gracefully: refuse new submissions, let
+    /// workers finish (and journal) everything queued, join all threads,
+    /// sync the journal, return `Ok(())`. The calling thread polls
+    /// `should_term` and the drain flag every few milliseconds; requests
+    /// never wait on that poll, since the acceptor blocks in `accept()`
+    /// on its own thread. An accept error ends the run with that error.
     pub fn serve_until(self, should_term: impl Fn() -> bool) -> io::Result<()> {
         let Server {
-            state, listener, ..
+            state,
+            listener,
+            addr,
         } = self;
-        listener.set_nonblocking(true)?;
         let workers: Vec<JoinHandle<()>> = (0..state.opts.threads.max(1))
             .map(|worker| {
                 let state = Arc::clone(&state);
@@ -124,26 +134,29 @@ impl Server {
                 state.cancel_overdue(Instant::now());
             })
         });
-        let mut handlers: Vec<JoinHandle<()>> = Vec::new();
-        loop {
-            if should_term() && !state.is_draining() {
+        let acceptor = {
+            let state = Arc::clone(&state);
+            thread::spawn(move || accept_loop(&listener, &state))
+        };
+        while !acceptor.is_finished() && !state.is_draining() {
+            if should_term() {
                 state.begin_drain();
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&state);
-                    handlers.push(thread::spawn(move || handle_connection(stream, &state)));
-                    handlers.retain(|h| !h.is_finished());
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if state.is_draining() {
-                        break;
-                    }
-                    thread::sleep(ACCEPT_POLL);
-                }
-                Err(e) => return Err(e),
+            } else {
+                thread::sleep(WATCH_POLL);
             }
         }
+        // The acceptor is blocked in accept() unless it died: wake it with
+        // a connection of our own (loopback when bound to a wildcard
+        // address). Re-sent each poll until it is seen, so a lost
+        // connection cannot leave this thread waiting.
+        let wake = wake_addr(addr);
+        while !acceptor.is_finished() {
+            let _ = TcpStream::connect_timeout(&wake, WAKE_TIMEOUT);
+            thread::sleep(WATCH_POLL);
+        }
+        let handlers = acceptor
+            .join()
+            .unwrap_or_else(|_| Err(io::Error::other("acceptor thread panicked")))?;
         // Drain: workers exit once the queue is empty (begin_drain already
         // woke them); handlers are short-lived by construction.
         for w in workers {
@@ -158,6 +171,35 @@ impl Server {
         state.sync_journal()?;
         Ok(())
     }
+}
+
+/// The acceptor: block in `accept()` and hand each connection to a
+/// handler thread. The first connection accepted while draining (the
+/// wake-up from [`Server::serve_until`], or a client racing it) is still
+/// handled, then the loop exits and returns the handlers to join.
+fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>) -> io::Result<Vec<JoinHandle<()>>> {
+    let mut handlers: Vec<JoinHandle<()>> = Vec::new();
+    loop {
+        let (stream, _) = listener.accept()?;
+        let draining = state.is_draining();
+        let state = Arc::clone(state);
+        handlers.push(thread::spawn(move || handle_connection(stream, &state)));
+        handlers.retain(|h| !h.is_finished());
+        if draining {
+            return Ok(handlers);
+        }
+    }
+}
+
+/// Where to connect to wake an acceptor bound to `addr`: the address
+/// itself, or loopback on the same port when bound to `0.0.0.0` / `::`.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// One worker: block on the queue, honor chaos latency, quarantine
@@ -307,6 +349,20 @@ fn handle_connection(mut stream: TcpStream, state: &Arc<ServeState>) {
 mod tests {
     use super::*;
     use crate::http::request;
+    use std::sync::mpsc;
+
+    /// Not a timing claim: only turns a hang into a failure.
+    const WATCHDOG: Duration = Duration::from_secs(60);
+
+    /// Run `f` on its own thread; its result arrives on the receiver,
+    /// which tests wait on for at most [`WATCHDOG`].
+    fn in_thread<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> mpsc::Receiver<T> {
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx
+    }
 
     fn wait_for_sweep(addr: &str, sweep: u64) -> String {
         let deadline = Instant::now() + Duration::from_secs(60);
@@ -381,5 +437,43 @@ mod tests {
             }
         }
         server.shutdown().unwrap();
+    }
+
+    #[test]
+    fn shutdown_endpoint_on_an_idle_server_returns() {
+        let server = Server::bind("127.0.0.1:0", ServeOptions::default()).unwrap();
+        let addr = server.local_addr().to_string();
+        let served = in_thread(move || server.serve_until(|| false));
+        let (status, _) = request(&addr, "POST", "/shutdown", "").unwrap();
+        assert_eq!(status, 202);
+        // No later connection arrives: the server wakes its own acceptor.
+        served
+            .recv_timeout(WATCHDOG)
+            .expect("serve_until did not return")
+            .unwrap();
+    }
+
+    #[test]
+    fn shutdown_returns_on_a_wildcard_bound_server() {
+        let server = Server::spawn("0.0.0.0:0", ServeOptions::default()).unwrap();
+        assert!(server.addr.ip().is_unspecified());
+        let loopback = format!("127.0.0.1:{}", server.addr.port());
+        assert_eq!(request(&loopback, "GET", "/healthz", "").unwrap().0, 200);
+        in_thread(move || server.shutdown())
+            .recv_timeout(WATCHDOG)
+            .expect("shutdown did not return")
+            .unwrap();
+    }
+
+    #[test]
+    fn wildcard_binds_are_woken_on_loopback() {
+        for (bound, wake) in [
+            ("0.0.0.0:7190", "127.0.0.1:7190"),
+            ("[::]:7190", "[::1]:7190"),
+            ("127.0.0.1:7190", "127.0.0.1:7190"),
+            ("[::1]:80", "[::1]:80"),
+        ] {
+            assert_eq!(wake_addr(bound.parse().unwrap()), wake.parse().unwrap());
+        }
     }
 }

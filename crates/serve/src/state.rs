@@ -393,17 +393,21 @@ impl ServeState {
             .fetch_add(specs.len() as u64, Ordering::SeqCst);
         let ids: Vec<u64> = (first..first + specs.len() as u64).collect();
         // Journal-before-acknowledge: all submit records are on disk
-        // before the client hears "accepted". A failed append un-admits
-        // the whole sweep and trips the storage breaker.
+        // before the client hears "accepted" — one write and one fsync for
+        // the whole sweep. A failed append un-admits the whole sweep and
+        // trips the storage breaker.
         if let Some(journal) = &self.journal {
-            let mut j = self.lock(journal);
-            for (id, spec) in ids.iter().zip(specs) {
-                let payload = encode_payload(sweep, &spec.to_string());
-                if let Err(e) = j.submit(*id, &payload) {
-                    self.gate.release(specs.len());
-                    self.trip_storage(&e);
-                    return Err(SubmitError::Storage(e.to_string()));
-                }
+            let payloads: Vec<Vec<u8>> = specs
+                .iter()
+                .map(|spec| encode_payload(sweep, &spec.to_string()))
+                .collect();
+            let appended = self
+                .lock(journal)
+                .submit_all(ids.iter().copied().zip(payloads.iter().map(Vec::as_slice)));
+            if let Err(e) = appended {
+                self.gate.release(specs.len());
+                self.trip_storage(&e);
+                return Err(SubmitError::Storage(e.to_string()));
             }
         }
         {
@@ -892,5 +896,99 @@ mod tests {
         assert_eq!(a, run(), "same seed, same shed pattern");
         assert!(a.iter().any(|&s| s), "seed 42 sheds at least once in 64");
         assert!(!a.iter().all(|&s| s), "and accepts at least once");
+    }
+
+    /// Eight specs, one per body line of a typical sweep.
+    const SWEEP: [&str; 8] = [
+        "p_add n=8 seed=1",
+        "plus_scan n=64 vlen=256 seed=2",
+        "seg_scan n=40 vlen=128 seed=3",
+        "radix_sort n=16 seed=4",
+        "p_add n=100 vlen=512 lmul=m2 seed=5",
+        "plus_scan n=7 seed=6",
+        "seg_scan n=90 lmul=m4 seed=7",
+        "radix_sort n=33 vlen=1024 seed=8",
+    ];
+
+    fn chaos_options(chaos: &Arc<rvv_ckpt::ChaosBackend>, resume: bool) -> ServeOptions {
+        ServeOptions {
+            journal: Some(PathBuf::from("/j/q.journal")),
+            storage: Some(Arc::clone(chaos) as Arc<dyn StorageBackend>),
+            resume,
+            ..ServeOptions::default()
+        }
+    }
+
+    #[test]
+    fn a_sweep_is_journaled_with_one_write_and_one_sync() {
+        use rvv_ckpt::{ChaosBackend, ChaosPlan};
+        let path = PathBuf::from("/j/q.journal");
+        let sweep = specs(&SWEEP);
+        let chaos = Arc::new(ChaosBackend::new(ChaosPlan::quiet()));
+        let state = ServeState::new(chaos_options(&chaos, false)).unwrap();
+        let before = chaos.ops();
+        let (sweep_id, ids) = state.submit(&sweep).unwrap();
+        assert_eq!(chaos.ops() - before, 2, "one write, one fsync");
+        // The bytes are those of one single-record submit per job.
+        let single = Arc::new(ChaosBackend::new(ChaosPlan::quiet()));
+        let backend: Arc<dyn StorageBackend> = single.clone();
+        let mut q = QueueJournal::create_on(&backend, &path, JOURNAL_TAG, 1).unwrap();
+        for (id, spec) in ids.iter().zip(&sweep) {
+            q.submit(*id, &encode_payload(sweep_id, &spec.to_string()))
+                .unwrap();
+        }
+        assert_eq!(chaos.contents(&path), single.contents(&path));
+    }
+
+    #[test]
+    fn a_torn_batched_submit_resumes_to_a_whole_record_prefix() {
+        use rvv_ckpt::{ChaosBackend, ChaosPlan};
+        let sweep = specs(&SWEEP);
+        let mut torn_lengths = std::collections::BTreeSet::new();
+        for seed in 0..16 {
+            // Write op 0 is the journal header, ops 1-2 two acknowledged
+            // sweeps; op 3, the third sweep's batched write, dies after a
+            // seeded prefix of its bytes, and the crash tears that
+            // unsynced tail again.
+            let chaos = Arc::new(ChaosBackend::new(ChaosPlan {
+                seed,
+                fail_writes_after: Some(3),
+                short_writes: true,
+                torn_crash: true,
+                ..ChaosPlan::quiet()
+            }));
+            let state = ServeState::new(chaos_options(&chaos, false)).unwrap();
+            let acked: Vec<(u64, Vec<u64>)> =
+                (0..2).map(|_| state.submit(&sweep).unwrap()).collect();
+            assert!(matches!(state.submit(&sweep), Err(SubmitError::Storage(_))));
+            drop(state);
+            chaos.crash();
+
+            let resumed = ServeState::new(chaos_options(&chaos, true)).unwrap();
+            assert_eq!(resumed.counters.salvaged.load(Ordering::Relaxed), 0);
+            // Every acknowledged sweep survives whole, as pending work.
+            for (sweep_id, ids) in &acked {
+                assert_eq!(
+                    resumed.sweep_text(*sweep_id).unwrap(),
+                    "pending 0/8 jobs done\n"
+                );
+                for id in ids {
+                    assert!(resumed.job_text(*id).unwrap().contains("queued"));
+                }
+            }
+            // The torn sweep was never acknowledged; what replays of it is
+            // a prefix of its jobs, each one whole.
+            let torn = (17..=24u64)
+                .take_while(|id| resumed.job_text(*id).is_some())
+                .count();
+            assert!(torn < 8, "a short write never lands the whole batch");
+            assert!((17 + torn as u64..=24).all(|id| resumed.job_text(id).is_none()));
+            assert_eq!(resumed.gate.depth(), 16 + torn);
+            torn_lengths.insert(torn);
+        }
+        assert!(
+            torn_lengths.len() > 1,
+            "the seeds tear at different records: {torn_lengths:?}"
+        );
     }
 }

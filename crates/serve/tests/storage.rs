@@ -139,11 +139,11 @@ fn corrupted_interior_record_salvages_and_resumes_byte_identical() {
 #[test]
 fn append_failure_degrades_storage_sheds_and_drains() {
     use rvv_ckpt::{ChaosBackend, ChaosPlan, StorageBackend};
-    // Write op 0 is the journal header, ops 1-2 the first sweep's two
-    // submit records; every later append (the done records, the next
-    // submit) fails hard.
+    // Write op 0 is the journal header, op 1 the first sweep's two submit
+    // records (one batched write); every later append (the done records,
+    // the next submit) fails hard.
     let chaos = Arc::new(ChaosBackend::new(ChaosPlan {
-        fail_writes_after: Some(3),
+        fail_writes_after: Some(2),
         ..ChaosPlan::quiet()
     }));
     let server = Server::spawn(
