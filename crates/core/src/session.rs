@@ -1052,4 +1052,42 @@ mod tests {
         legacy_env.set_exec_engine(ExecEngine::Plan);
         p_add(&mut legacy_env, &b, 1).unwrap();
     }
+
+    #[test]
+    fn an_attached_fault_hook_turns_tracing_off_on_every_tier() {
+        use crate::primitives::p_add;
+        use std::cell::Cell;
+        use std::rc::Rc;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        /// Counts launches and retire events.
+        struct Seen(Rc<Cell<u64>>);
+        impl TraceSink for Seen {
+            fn retire(&mut self, _: &rvv_sim::RetireEvent<'_>) {
+                self.0.set(self.0.get() + 1);
+            }
+            fn launch(&mut self, _: &Program) {
+                self.0.set(self.0.get() + 1);
+            }
+        }
+        /// Passes every instruction, counting the calls.
+        struct Pass(Arc<AtomicU64>);
+        impl FaultHook for Pass {
+            fn before(&mut self, _: u64, _: &Instr, _: Option<&MemAccess>) -> FaultAction {
+                self.0.fetch_add(1, Ordering::Relaxed);
+                FaultAction::Pass
+            }
+        }
+        for exec in ExecEngine::ALL {
+            let mut env = ScanEnv::paper_default();
+            env.set_exec_engine(exec);
+            let (seen, calls) = (Rc::new(Cell::new(0)), Arc::new(AtomicU64::new(0)));
+            env.attach_tracer(Box::new(Seen(Rc::clone(&seen))));
+            env.attach_fault_hook(Box::new(Pass(Arc::clone(&calls))));
+            let v = env.from_u32(&[3; 100]).unwrap();
+            p_add(&mut env, &v, 1).unwrap();
+            assert_eq!(seen.get(), 0, "{exec:?}: the sink saw the faulted run");
+            assert_eq!(calls.load(Ordering::Relaxed), env.retired(), "{exec:?}");
+            assert_eq!(env.to_u32(&v), vec![4; 100], "{exec:?}");
+        }
+    }
 }

@@ -8,8 +8,11 @@
 //! addresses, and overlap constraints) without hand-writing generators.
 
 use proptest::prelude::*;
-use rvv_isa::{decode, Instr, VReg, XReg};
-use rvv_sim::{CompiledPlan, Machine, MachineConfig, Program};
+use rvv_isa::{decode, Instr, InstrClass, VReg, VType, XReg};
+use rvv_sim::{
+    CompiledPlan, FaultAction, FaultHook, Machine, MachineConfig, MemAccess, Program, RetireEvent,
+    RunReport, SimResult, TraceSink,
+};
 
 fn soup(words: &[u32]) -> Vec<Instr> {
     words.iter().filter_map(|&w| decode(w).ok()).collect()
@@ -42,6 +45,126 @@ fn assert_same_state(plan: &Machine, legacy: &Machine) {
         legacy.mem.read_bytes(0, size).unwrap(),
         "memory diverged"
     );
+}
+
+/// One retire event, owned so streams from different tiers can be
+/// compared: pc, instruction, class, vl, vtype, footprint, seq.
+type Event = (
+    u64,
+    Instr,
+    InstrClass,
+    u32,
+    Option<VType>,
+    Option<MemAccess>,
+    u64,
+);
+
+/// A sink that records every launch and retire event.
+#[derive(Default)]
+struct Recorder {
+    launches: usize,
+    events: Vec<Event>,
+}
+
+impl TraceSink for Recorder {
+    fn retire(&mut self, e: &RetireEvent<'_>) {
+        let instr = *e.instr;
+        let event = (e.pc, instr, e.class, e.vl, e.vtype, e.mem, e.seq);
+        self.events.push(event);
+    }
+    fn launch(&mut self, _: &Program) {
+        self.launches += 1;
+    }
+}
+
+/// A fault hook that always passes and records what it was shown.
+#[derive(Default)]
+struct CountingPass {
+    calls: Vec<(u64, Instr, Option<MemAccess>)>,
+}
+
+impl FaultHook for CountingPass {
+    fn before(&mut self, pc: u64, instr: &Instr, mem: Option<&MemAccess>) -> FaultAction {
+        self.calls.push((pc, *instr, mem.copied()));
+        FaultAction::Pass
+    }
+}
+
+/// The hooks a differential run executes under.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Hooks {
+    None,
+    Trace,
+    Fault,
+}
+
+const HOOKS: [Hooks; 3] = [Hooks::None, Hooks::Trace, Hooks::Fault];
+
+/// What one tier's run produced: the result, the machine it ran on, and
+/// what its hooks observed.
+struct Outcome {
+    result: SimResult<RunReport>,
+    machine: Machine,
+    sink: Recorder,
+    fault: CountingPass,
+}
+
+/// Run `p` on one tier (0 = plan, 1 = legacy, 2 = fused) under `hooks`.
+fn run_tier(
+    mut m: Machine,
+    p: &Program,
+    plan: &CompiledPlan,
+    tier: usize,
+    hooks: Hooks,
+) -> Outcome {
+    const FUEL: u64 = 50_000;
+    let (mut sink, mut fault) = (Recorder::default(), CountingPass::default());
+    let result = match (tier, hooks) {
+        (0, Hooks::None) => m.run_plan(plan, FUEL),
+        (1, Hooks::None) => m.run_legacy(p, FUEL),
+        (_, Hooks::None) => m.run_fused(plan, FUEL),
+        (0, Hooks::Trace) => m.run_plan_traced(plan, FUEL, &mut sink),
+        (1, Hooks::Trace) => m.run_legacy_traced(p, FUEL, &mut sink),
+        (_, Hooks::Trace) => m.run_fused_traced(plan, FUEL, &mut sink),
+        (0, Hooks::Fault) => m.run_plan_faulted(plan, FUEL, &mut fault),
+        (1, Hooks::Fault) => m.run_legacy_faulted(p, FUEL, &mut fault),
+        (_, Hooks::Fault) => m.run_fused_faulted(plan, FUEL, &mut fault),
+    };
+    Outcome {
+        result,
+        machine: m,
+        sink,
+        fault,
+    }
+}
+
+/// Run `p` on all three tiers from the same starting machine under
+/// `hooks` and assert they are indistinguishable: same result, same final
+/// state, same hook observations — and no fused window under a fault hook,
+/// which must see every instruction boundary.
+fn assert_tiers_agree(start: &Machine, p: &Program, hooks: Hooks) -> Result<(), TestCaseError> {
+    let plan = CompiledPlan::compile(p.clone());
+    let runs: Vec<Outcome> = (0..3)
+        .map(|tier| run_tier(start.clone(), p, &plan, tier, hooks))
+        .collect();
+    let legacy = &runs[1];
+    for other in [&runs[0], &runs[2]] {
+        prop_assert_eq!(&other.result, &legacy.result);
+        assert_same_state(&other.machine, &legacy.machine);
+        prop_assert_eq!(other.sink.launches, legacy.sink.launches);
+        prop_assert_eq!(&other.sink.events, &legacy.sink.events);
+        prop_assert_eq!(&other.fault.calls, &legacy.fault.calls);
+    }
+    prop_assert_eq!(legacy.sink.launches, usize::from(hooks == Hooks::Trace));
+    if hooks != Hooks::Trace {
+        prop_assert!(legacy.sink.events.is_empty());
+    }
+    if hooks != Hooks::Fault {
+        prop_assert!(legacy.fault.calls.is_empty());
+    } else {
+        prop_assert_eq!(runs[2].machine.fused_stats.windows, 0);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -96,12 +219,15 @@ proptest! {
     /// must be architecturally indistinguishable from the legacy
     /// single-step interpreter on arbitrary decoded soup — same result
     /// (report or trap, including trap byte addresses), same final
-    /// registers, vector state, counters, and memory.
+    /// registers, vector state, counters, and memory — with no hooks, a
+    /// trace sink, or a pass-through fault hook attached, and the hooks
+    /// must observe the same stream on every tier.
     #[test]
     fn plan_and_fused_match_legacy_on_soup(
         words in prop::collection::vec(any::<u32>(), 0..200),
         vlen_shift in 7u32..11,
         seed_regs in prop::collection::vec(any::<u64>(), 8),
+        hook_pick in 0usize..3,
     ) {
         let cfg = MachineConfig {
             vlen: 1 << vlen_shift,
@@ -110,22 +236,11 @@ proptest! {
         let mut instrs = soup(&words);
         instrs.push(Instr::Ecall);
         let p = Program::new("soup", instrs);
-        let plan = CompiledPlan::compile(p.clone());
-        let mut m1 = Machine::new(cfg);
-        let mut m2 = Machine::new(cfg);
-        let mut m3 = Machine::new(cfg);
+        let mut m = Machine::new(cfg);
         for (i, &s) in seed_regs.iter().enumerate() {
-            m1.set_xreg(XReg::arg(i as u8), s % (1 << 16));
-            m2.set_xreg(XReg::arg(i as u8), s % (1 << 16));
-            m3.set_xreg(XReg::arg(i as u8), s % (1 << 16));
+            m.set_xreg(XReg::arg(i as u8), s % (1 << 16));
         }
-        let r1 = m1.run_plan(&plan, 50_000);
-        let r2 = m2.run_legacy(&p, 50_000);
-        let r3 = m3.run_fused(&plan, 50_000);
-        prop_assert_eq!(&r1, &r2);
-        prop_assert_eq!(&r3, &r2);
-        assert_same_state(&m1, &m2);
-        assert_same_state(&m3, &m2);
+        assert_tiers_agree(&m, &p, HOOKS[hook_pick])?;
     }
 
     /// Differential soup with a legal vtype primed first, so the vector
@@ -137,6 +252,7 @@ proptest! {
         avl in 1u64..64,
         sew_pick in 0u8..4,
         lmul_pick in 0u8..4,
+        hook_pick in 0usize..3,
     ) {
         let cfg = MachineConfig { vlen: 256, mem_bytes: 1 << 16 };
         let sew = [rvv_isa::Sew::E8, rvv_isa::Sew::E16, rvv_isa::Sew::E32, rvv_isa::Sew::E64][sew_pick as usize];
@@ -149,19 +265,8 @@ proptest! {
         instrs.extend(soup(&words));
         instrs.push(Instr::Ecall);
         let p = Program::new("vsoup", instrs);
-        let plan = CompiledPlan::compile(p.clone());
-        let mut m1 = Machine::new(cfg);
-        let mut m2 = Machine::new(cfg);
-        let mut m3 = Machine::new(cfg);
-        m1.set_xreg(XReg::new(10), avl);
-        m2.set_xreg(XReg::new(10), avl);
-        m3.set_xreg(XReg::new(10), avl);
-        let r1 = m1.run_plan(&plan, 50_000);
-        let r2 = m2.run_legacy(&p, 50_000);
-        let r3 = m3.run_fused(&plan, 50_000);
-        prop_assert_eq!(&r1, &r2);
-        prop_assert_eq!(&r3, &r2);
-        assert_same_state(&m1, &m2);
-        assert_same_state(&m3, &m2);
+        let mut m = Machine::new(cfg);
+        m.set_xreg(XReg::new(10), avl);
+        assert_tiers_agree(&m, &p, HOOKS[hook_pick])?;
     }
 }
