@@ -11,7 +11,7 @@
 
 use rvv_asm::parse_program;
 use rvv_isa::{InstrClass, XReg};
-use rvv_sim::{Machine, MachineConfig};
+use rvv_sim::{Machine, MachineConfig, DEFAULT_FUEL};
 
 fn usage() -> ! {
     eprintln!(
@@ -98,7 +98,7 @@ fn main() {
         m.set_xreg(XReg::arg(n), v);
     }
     m.set_xreg(XReg::SP, (mem_mib as u64) << 20);
-    match m.run_default(&program) {
+    match m.run(&program, DEFAULT_FUEL) {
         Ok(report) => {
             println!("halted at pc {:#x}", report.halt_pc);
             println!("retired: {}", report.retired);

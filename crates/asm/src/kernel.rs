@@ -636,7 +636,7 @@ mod tests {
             let body = k.b.finish().unwrap();
             instrs.extend(body.instrs);
             let p = rvv_sim::Program::new("test", instrs);
-            m.run_default(&p).unwrap();
+            m.run(&p, rvv_sim::DEFAULT_FUEL).unwrap();
             assert_eq!(m.xreg(XReg::new(15)), 0);
             assert_eq!(m.xreg(XReg::SP), 1 << 15, "sp must balance");
         }

@@ -176,9 +176,12 @@ pub enum JobOutcome<T> {
     /// cancels are inherently timing-dependent, so digests over
     /// deadline-cancelled sweeps are not replay-comparable.
     Cancelled {
-        /// The instruction-boundary ordinal where the token was observed
-        /// (1-based within the launch that stopped; 0 when the token was
-        /// observed between attempts, before any launch started).
+        /// The instruction-boundary ordinal where the token was observed:
+        /// 1-based within the kernel launch that stopped, so a job
+        /// cancelled in its second launch reports the ordinal within that
+        /// launch, not the token's [`CancelToken::checks`] across the job;
+        /// 0 when the token was observed between attempts, before any
+        /// launch started.
         at: u64,
     },
     /// A failure replayed from a journal (see [`crate::journal`]): the

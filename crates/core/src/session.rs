@@ -29,10 +29,9 @@ use crate::error::{ScanError, ScanResult};
 use crate::plan_cache::PlanCache;
 use crate::snapshot::EnvSnapshot;
 use rvv_asm::SpillProfile;
-use rvv_isa::Instr;
 use rvv_isa::{KernelConfig, Lmul, Sew, XReg};
 use rvv_sim::{
-    CancelToken, CompiledPlan, FaultAction, FaultHook, Machine, MachineConfig, MemAccess, Program,
+    CancelToken, CompiledPlan, FaultHook, HookSet, Machine, MachineConfig, Program, RunHooks,
     RunReport, SimError, TraceSink, DEFAULT_FUEL,
 };
 use std::ops::Range;
@@ -229,27 +228,19 @@ pub struct Session {
 /// signature) continues to compile unchanged.
 pub type ScanEnv = Session;
 
-/// The cancellation shim [`Session::run`] wraps launches in while a
-/// [`CancelToken`] is attached: consults the token before each instruction
-/// (counting boundaries so the trap carries the ordinal), then delegates
-/// to any attached fault hook. Trapping *before* the instruction means a
-/// cancelled launch retires nothing past the observed boundary.
-struct CancelCheck<'a> {
-    token: CancelToken,
-    seq: u64,
-    inner: Option<&'a mut (dyn FaultHook + Send + 'static)>,
-}
-
-impl FaultHook for CancelCheck<'_> {
-    fn before(&mut self, pc: u64, instr: &Instr, mem: Option<&MemAccess>) -> FaultAction {
-        self.seq += 1;
-        if self.token.check() {
-            return FaultAction::Trap(SimError::Cancelled { seq: self.seq });
-        }
-        match &mut self.inner {
-            Some(h) => h.before(pc, instr, mem),
-            None => FaultAction::Pass,
-        }
+/// Launch `plan` on tier `exec` under `hooks`: the one place a tier picks
+/// its run loop.
+fn launch<H: RunHooks>(
+    m: &mut Machine,
+    exec: ExecEngine,
+    plan: &CompiledPlan,
+    fuel: u64,
+    hooks: &mut H,
+) -> Result<RunReport, SimError> {
+    match exec {
+        ExecEngine::Plan => m.run_plan(plan, fuel, 0, hooks),
+        ExecEngine::Legacy => m.run_legacy(plan.program(), fuel, 0, hooks),
+        ExecEngine::Fused => m.run_fused(plan, fuel, 0, hooks),
     }
 }
 
@@ -466,12 +457,13 @@ impl Session {
         self.fuel_budget.map(|(b, _)| b)
     }
 
-    /// Attach a [`FaultHook`]: every subsequent kernel launch runs through
-    /// the faulted drivers ([`Machine::run_plan_faulted`] /
-    /// [`Machine::run_legacy_faulted`]), which consult the hook before each
-    /// instruction. Replaces (and returns) any previously attached hook.
-    /// While a hook is attached, launches are *not* traced (fault injection
-    /// and trace capture are separate experiments).
+    /// Attach a [`FaultHook`]: every subsequent kernel launch consults the
+    /// hook before each instruction, on every [`ExecEngine`] tier (the
+    /// fused tier runs per-op while a hook is attached, since a window has
+    /// no interior boundaries). Replaces (and returns) any previously
+    /// attached hook. While a hook is attached, launches are *not* traced:
+    /// the attached sink sees no launch and no retire events (fault
+    /// injection and trace capture are separate experiments).
     pub fn attach_fault_hook(
         &mut self,
         hook: Box<dyn FaultHook + Send>,
@@ -496,10 +488,14 @@ impl Session {
     /// launch that observes the token cancelled traps with
     /// [`SimError::Cancelled`] carrying the boundary ordinal and retires
     /// nothing past it, so partial counters are deterministic for a
-    /// deterministic trip point ([`CancelToken::after_checks`]). Composes
-    /// with an attached fault hook (the token is consulted first) and with
-    /// the fuel watchdog (whichever line is crossed first wins). Like a
-    /// fault hook, an attached token suppresses tracing, and
+    /// deterministic trip point ([`CancelToken::after_checks`]). The
+    /// ordinal counts boundaries within the launch that stopped, restarting
+    /// at 1 on every launch, while [`CancelToken::checks`] counts across
+    /// every launch that consulted the token. Composes with an attached
+    /// fault hook (the token is consulted first), with an attached tracer
+    /// (which still sees every retired instruction, so traces and cycle
+    /// estimates are unchanged by a token that never fires), and with the
+    /// fuel watchdog (whichever line is crossed first wins).
     /// [`Session::reset`] / [`Session::restore`] detach it. Replaces (and
     /// returns) any previously attached token.
     pub fn attach_cancel_token(&mut self, token: CancelToken) -> Option<CancelToken> {
@@ -569,9 +565,11 @@ impl Session {
 
     // ------------------------------------------------------------- tracing --
 
-    /// Attach a [`TraceSink`]: every subsequent kernel launch runs through
-    /// [`Machine::run_traced`] and every phase entered via
-    /// [`Session::phase`] is forwarded to the sink. Replaces (and returns)
+    /// Attach a [`TraceSink`]: every subsequent kernel launch reports its
+    /// start and every retired instruction to the sink, on every
+    /// [`ExecEngine`] tier, and every phase entered via [`Session::phase`]
+    /// is forwarded to it. An attached fault hook turns the launch
+    /// reports off ([`Session::attach_fault_hook`]). Replaces (and returns)
     /// any previously attached sink.
     pub fn attach_tracer(&mut self, sink: Box<dyn TraceSink>) -> Option<Box<dyn TraceSink>> {
         self.tracer.replace(sink)
@@ -822,42 +820,25 @@ impl Session {
             }
             None => (DEFAULT_FUEL, None),
         };
-        // An attached cancel token routes the launch through the faulted
-        // drivers behind a shim that consults the token first and then
-        // delegates to any attached fault hook — the same per-instruction
-        // boundary in every tier, so a deterministic trip point cancels at
-        // the same ordinal with the same partial counters on Plan, Legacy,
-        // and Fused alike.
-        let mut shim;
-        let hook: Option<&mut (dyn FaultHook + '_)> =
-            match (&self.cancel, self.fault.as_deref_mut()) {
-                (Some(token), inner) => {
-                    shim = CancelCheck {
-                        token: token.clone(),
-                        seq: 0,
-                        inner,
-                    };
-                    Some(&mut shim)
-                }
-                (None, Some(h)) => Some(h),
-                (None, None) => None,
-            };
-        let report = match (self.exec, hook, self.tracer.as_deref_mut()) {
-            (ExecEngine::Plan, Some(hook), _) => self.machine.run_plan_faulted(plan, fuel, hook),
-            (ExecEngine::Fused, Some(hook), _) => self.machine.run_fused_faulted(plan, fuel, hook),
-            (ExecEngine::Legacy, Some(hook), _) => {
-                self.machine.run_legacy_faulted(plan.program(), fuel, hook)
-            }
-            (ExecEngine::Plan, None, Some(sink)) => self.machine.run_plan_traced(plan, fuel, sink),
-            (ExecEngine::Plan, None, None) => self.machine.run_plan(plan, fuel),
-            (ExecEngine::Fused, None, Some(sink)) => {
-                self.machine.run_fused_traced(plan, fuel, sink)
-            }
-            (ExecEngine::Fused, None, None) => self.machine.run_fused(plan, fuel),
-            (ExecEngine::Legacy, None, Some(sink)) => {
-                self.machine.run_legacy_traced(plan.program(), fuel, sink)
-            }
-            (ExecEngine::Legacy, None, None) => self.machine.run_legacy(plan.program(), fuel),
+        // One hooks value for whatever is attached. A fault hook turns
+        // tracing off (fault injection and trace capture are separate
+        // experiments); the cancel token composes with either. With
+        // nothing attached the launch takes the plain `()` loop.
+        let traced = self.fault.is_none();
+        let mut hooks = HookSet {
+            sink: self
+                .tracer
+                .as_deref_mut()
+                .filter(|_| traced)
+                .map(|s| s as _),
+            fault: self.fault.as_deref_mut().map(|h| h as _),
+            cancel: self.cancel.as_ref(),
+        };
+        let m = &mut self.machine;
+        let report = if hooks.is_empty() {
+            launch(m, self.exec, plan, fuel, &mut ())
+        } else {
+            launch(m, self.exec, plan, fuel, &mut hooks)
         };
         // The run loop is the only source of `FuelExhausted`, and it always
         // carries the launch's metered fuel (injected fuel faults trap as
@@ -1056,6 +1037,8 @@ mod tests {
     #[test]
     fn an_attached_fault_hook_turns_tracing_off_on_every_tier() {
         use crate::primitives::p_add;
+        use rvv_isa::Instr;
+        use rvv_sim::{FaultAction, MemAccess};
         use std::cell::Cell;
         use std::rc::Rc;
         use std::sync::atomic::{AtomicU64, Ordering};

@@ -15,7 +15,7 @@
 //! instructions, the per-class histogram, and `a0`.
 
 use rvv_isa::{InstrClass, XReg};
-use rvv_sim::{Machine, MachineConfig, Program};
+use rvv_sim::{Machine, MachineConfig, Program, DEFAULT_FUEL};
 
 fn usage() -> ! {
     eprintln!(
@@ -95,7 +95,7 @@ fn main() {
     }
     m.set_xreg(XReg::SP, (mem_mib as u64) << 20);
 
-    match m.run_default(&program) {
+    match m.run(&program, DEFAULT_FUEL) {
         Ok(report) => {
             println!("halted at pc {:#x}", report.halt_pc);
             println!("retired: {}", report.retired);

@@ -2,13 +2,15 @@
 //!
 //! A [`CancelToken`] is a cheap, clonable flag a supervisor (deadline
 //! watchdog, shutdown handler, client-disconnect detector) raises from
-//! another thread. The machine never polls the clock itself: the token is
-//! consulted at the same per-instruction boundary where a
-//! [`FaultHook`](crate::FaultHook) runs, once per retired instruction in
+//! another thread. The machine never polls the clock itself: a run whose
+//! [`HookSet`](crate::HookSet) carries the token consults it at every
+//! instruction boundary, before any [`FaultHook`](crate::FaultHook), in
 //! retirement order, identically in every engine tier. A run that observes
-//! the token cancelled traps with [`SimError::Cancelled`](crate::SimError)
-//! carrying the boundary ordinal, so partial progress (retired count,
-//! counters) is deterministic for a deterministic trip point.
+//! the token cancelled traps with [`SimError::Cancelled`] carrying the
+//! boundary's 1-based ordinal *within that launch*, so partial progress
+//! (retired count, counters) is deterministic for a deterministic trip
+//! point. The ordinal restarts at 1 on every launch, while
+//! [`CancelToken::checks`] counts across all of them.
 //!
 //! Two trip modes:
 //!
@@ -21,6 +23,7 @@
 //!   cancellation to an exact instruction boundary on Plan, Legacy, and
 //!   Fused alike.
 
+use crate::error::SimError;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -85,6 +88,12 @@ impl CancelToken {
     /// How many consultations have happened so far.
     pub fn checks(&self) -> u64 {
         self.inner.checks.load(Ordering::Relaxed)
+    }
+
+    /// The run loop's consultation at the `n`th boundary of a launch
+    /// (1-based): the trap to raise if the token is cancelled.
+    pub(crate) fn trap_at(&self, n: u64) -> Option<SimError> {
+        self.check().then_some(SimError::Cancelled { seq: n })
     }
 }
 

@@ -94,7 +94,10 @@ pub enum SimError {
     /// same deterministic trip point.
     Cancelled {
         /// The 1-based ordinal of the instruction boundary where the token
-        /// was observed cancelled.
+        /// was observed cancelled, counted within the launch that stopped:
+        /// it restarts at 1 on every launch, so a job cancelled in its
+        /// second kernel launch reports the ordinal within that launch,
+        /// not its total across the job.
         seq: u64,
     },
 }

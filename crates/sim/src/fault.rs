@@ -3,10 +3,9 @@
 //! A [`FaultHook`] observes execution the way a [`crate::TraceSink`] does,
 //! but *before* each instruction executes, and it can intervene: let the
 //! instruction through, force a trap, or substitute another instruction
-//! (modelling a corrupted fetch). The ordinary run loops
-//! ([`crate::Machine::run_plan`], [`crate::Machine::run_legacy`]) do not
-//! know hooks exist — only the dedicated `*_faulted` drivers consult one,
-//! so the unfaulted path stays zero-cost.
+//! (modelling a corrupted fetch). A run consults one only when its
+//! [`HookSet`](crate::HookSet) carries it; a run under `()` hooks compiles
+//! the consultation out, so the unfaulted path stays zero-cost.
 //!
 //! The contract that makes injection *deterministic* (and therefore
 //! differential-testable across engines): the hook is consulted exactly
@@ -59,6 +58,7 @@ impl<H: FaultHook + ?Sized> FaultHook for &mut H {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hooks::HookSet;
     use crate::machine::{Machine, MachineConfig};
     use crate::program::Program;
     use rvv_isa::{AluOp, XReg};
@@ -114,8 +114,18 @@ mod tests {
             let plan = crate::plan::CompiledPlan::compile(program());
             let mut a = Machine::new(cfg);
             let mut b = Machine::new(cfg);
-            let ra = a.run_plan_faulted(&plan, 1000, &mut TrapAt { n, seen: 0 });
-            let rb = b.run_legacy_faulted(&program(), 1000, &mut TrapAt { n, seen: 0 });
+            let ra = a.run_plan(
+                &plan,
+                1000,
+                0,
+                &mut HookSet::fault(&mut TrapAt { n, seen: 0 }),
+            );
+            let rb = b.run_legacy(
+                &program(),
+                1000,
+                0,
+                &mut HookSet::fault(&mut TrapAt { n, seen: 0 }),
+            );
             assert_eq!(ra, rb, "fault at instruction {n}");
             assert_eq!(a.counters, b.counters);
             assert_eq!(a.xreg(XReg::new(5)), b.xreg(XReg::new(5)));
@@ -161,11 +171,13 @@ mod tests {
         let plan = crate::plan::CompiledPlan::compile(program());
         let mut a = Machine::new(cfg);
         let mut b = Machine::new(cfg);
+        let mut hook = ReplaceFirst { done: false };
         let ra = a
-            .run_plan_faulted(&plan, 1000, &mut ReplaceFirst { done: false })
+            .run_plan(&plan, 1000, 0, &mut HookSet::fault(&mut hook))
             .unwrap();
+        let mut hook = ReplaceFirst { done: false };
         let rb = b
-            .run_legacy_faulted(&program(), 1000, &mut ReplaceFirst { done: false })
+            .run_legacy(&program(), 1000, 0, &mut HookSet::fault(&mut hook))
             .unwrap();
         assert_eq!(ra, rb);
         // x5 = 40 (replacement), then += 2 from the untouched second instr.

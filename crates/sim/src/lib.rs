@@ -33,7 +33,7 @@
 //!
 //! ```
 //! use rvv_isa::{AluOp, Instr, XReg};
-//! use rvv_sim::{Machine, MachineConfig, Program};
+//! use rvv_sim::{Machine, MachineConfig, Program, DEFAULT_FUEL};
 //!
 //! let mut m = Machine::new(MachineConfig { vlen: 256, mem_bytes: 4096 });
 //! let p = Program::new(
@@ -44,7 +44,7 @@
 //!         Instr::Ecall,
 //!     ],
 //! );
-//! let report = m.run_default(&p).unwrap();
+//! let report = m.run(&p, DEFAULT_FUEL).unwrap();
 //! assert_eq!(m.xreg(XReg::new(5)), 42);
 //! assert_eq!(report.retired, 3);
 //! ```
@@ -57,6 +57,7 @@ mod counters;
 mod error;
 mod exec;
 mod fault;
+mod hooks;
 mod machine;
 mod memory;
 mod plan;
@@ -69,6 +70,7 @@ pub use counters::Counters;
 pub use error::{SimError, SimResult};
 pub use exec::Control;
 pub use fault::{FaultAction, FaultHook};
+pub use hooks::{HookSet, RunHooks};
 pub use machine::{FusedStats, Machine, MachineConfig};
 pub use memory::{MemSnapshot, Memory, PAGE_BYTES};
 pub use plan::CompiledPlan;

@@ -88,8 +88,8 @@ pub struct Machine {
     /// allocates.
     pub(crate) cmp_scratch: Vec<u64>,
     /// PC at which the last run loop paused with
-    /// [`SimError::FuelExhausted`] — the precise resume point for
-    /// `run_plan_from`/`run_legacy_from`. Captured by snapshots.
+    /// [`SimError::FuelExhausted`] — the precise resume point, passed as
+    /// the `start_pc` of any tier's run loop. Captured by snapshots.
     pub(crate) stop_pc: u64,
 }
 
@@ -119,8 +119,9 @@ impl Machine {
     }
 
     /// PC at which the last run loop paused with fuel exhaustion — pass
-    /// it to `run_plan_from`/`run_legacy_from` to continue exactly where
-    /// the run stopped. Zero until a run has paused.
+    /// it as the `start_pc` of [`Machine::run_plan`], [`Machine::run_fused`]
+    /// or [`Machine::run_legacy`] to continue exactly where the run
+    /// stopped. Zero until a run has paused.
     #[inline]
     pub fn stop_pc(&self) -> u64 {
         self.stop_pc

@@ -37,9 +37,10 @@
 
 use crate::error::{SimError, SimResult};
 use crate::exec::{alu_fn, branch_fn, Control};
+use crate::fault::FaultAction;
+use crate::hooks::RunHooks;
 use crate::machine::Machine;
 use crate::program::{Program, RunReport};
-use crate::trace::{RetireEvent, TraceSink};
 use rvv_isa::{Instr, InstrClass, MemWidth, Sew, VAluOp, VCmp, VCsr, VReg, XReg};
 use std::sync::OnceLock;
 
@@ -1675,84 +1676,57 @@ impl OpKind {
 }
 
 impl Machine {
-    /// Run a compiled plan from its first instruction until `ecall`, a trap,
-    /// or `fuel` retired instructions. Architecturally identical to
-    /// [`Machine::run_legacy`] on the plan's source program.
-    pub fn run_plan(&mut self, plan: &CompiledPlan, fuel: u64) -> SimResult<RunReport> {
-        self.run_plan_from(plan, fuel, 0)
-    }
-
-    /// [`Machine::run_plan`] starting at byte address `start_pc` — the
-    /// resume half of checkpointing, mirroring
-    /// [`Machine::run_legacy_from`]. A misaligned `start_pc` (a pause
-    /// that landed on a pending bad jump) reproduces the
-    /// [`SimError::BadControlFlow`] trap the uninterrupted run would have
-    /// raised.
-    pub fn run_plan_from(
+    /// Run a compiled plan on the **plan tier** from byte address
+    /// `start_pc` until `ecall`, a trap, or `fuel` retired instructions,
+    /// under `hooks` (`&mut ()` for none; see [`RunHooks`]).
+    /// Architecturally identical to [`Machine::run_legacy`] on the plan's
+    /// source program, hooks included: events carry the plan's pre-computed
+    /// class and are assembled and delivered at the same points.
+    ///
+    /// `start_pc` is 0 for a fresh launch, or [`Machine::stop_pc`] to
+    /// resume a run that paused with [`SimError::FuelExhausted`]. A
+    /// misaligned `start_pc` (a pause that landed on a pending bad jump)
+    /// reproduces the [`SimError::BadControlFlow`] trap the uninterrupted
+    /// run would have raised.
+    //
+    // Out of line, so every hooks instantiation is a loop of its own: a
+    // caller that picks among several (like `scanvec`'s `Session::run`)
+    // would otherwise inline them all into one function, which measured
+    // ~15% slower on the plain loop.
+    #[inline(never)]
+    pub fn run_plan<H: RunHooks>(
         &mut self,
         plan: &CompiledPlan,
         fuel: u64,
         start_pc: u64,
+        hooks: &mut H,
     ) -> SimResult<RunReport> {
+        self.plan_loop::<false, H>(plan, fuel, start_pc, hooks)
+    }
+
+    /// The loop of the plan and fused tiers. `FUSE` compiles the fused
+    /// window fast path in; it is taken only while `hooks` do not
+    /// intercept, since a window has no interior boundaries.
+    #[inline(always)]
+    fn plan_loop<const FUSE: bool, H: RunHooks>(
+        &mut self,
+        plan: &CompiledPlan,
+        fuel: u64,
+        start_pc: u64,
+        hooks: &mut H,
+    ) -> SimResult<RunReport> {
+        let observe = H::OBSERVES && hooks.observes();
+        let intercept = H::INTERCEPTS && hooks.intercepts();
+        if observe {
+            hooks.launch(&plan.source);
+        }
+        let windows = (FUSE && !intercept).then(|| plan.fusion());
         let before = self.counters.total();
         let mut key = vtype_key(self);
         let mut at: usize = (start_pc / 4) as usize;
         // A retired jump to an invalid target traps on the *next* iteration,
         // after the fuel check — exactly the legacy loop's ordering.
         let mut bad: Option<u64> = (!start_pc.is_multiple_of(4)).then_some(start_pc);
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// [`Machine::run_plan`] with [`crate::DEFAULT_FUEL`].
-    pub fn run_plan_default(&mut self, plan: &CompiledPlan) -> SimResult<RunReport> {
-        self.run_plan(plan, crate::program::DEFAULT_FUEL)
-    }
-
-    /// Like [`Machine::run_plan`], but reports every retired instruction to
-    /// `sink`. Events carry the plan's pre-computed class; event assembly
-    /// and delivery ordering match the legacy traced loop (assembled before
-    /// execution, delivered after a successful retire).
-    pub fn run_plan_traced(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SimResult<RunReport> {
-        sink.launch(&plan.source);
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
         loop {
             let seq = self.counters.total() - before;
             if seq >= fuel {
@@ -1762,111 +1736,20 @@ impl Machine {
             if let Some(target) = bad {
                 return Err(SimError::BadControlFlow { target });
             }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let instr = &plan.source.instrs[at];
-            let event = RetireEvent {
-                pc: (at as u64) * 4,
-                instr,
-                class: op.class,
-                vl: self.vl(),
-                vtype: self.vtype(),
-                mem: self.mem_footprint(instr),
-                seq,
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            sink.retire(&event);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
+            if let Some(n) = windows.and_then(|t| t.run_window(self, at, key, fuel - seq)) {
+                // Window ops never touch `xregs`, `vl`, or `vtype`, and
+                // footprints are a pure function of those, so events
+                // assembled after the bulk kernel are the per-op ones.
+                for (k, op) in plan.ops[at..at + n].iter().enumerate() {
+                    self.counters.retire_class(op.class);
+                    if observe {
+                        let (i, seq) = (at + k, seq + k as u64);
+                        let instr = &plan.source.instrs[i];
+                        hooks.retire(&self.retire_event((i as u64) * 4, instr, op.class, seq));
+                    }
                 }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Like [`Machine::run_plan`], but calls `hook(pc, instr)` before each
-    /// instruction executes.
-    pub fn run_plan_hooked(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        mut hook: impl FnMut(u64, &Instr),
-    ) -> SimResult<RunReport> {
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            hook((at as u64) * 4, &plan.source.instrs[at]);
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Like [`Machine::run_plan`], but consults a [`crate::FaultHook`]
-    /// before each instruction executes. Architecturally identical to
-    /// [`Machine::run_legacy_faulted`] with the same hook: the hook is
-    /// consulted at the same points, a forced trap aborts without retiring,
-    /// and a replacement instruction executes (and is counted) by its own
-    /// class through the generic [`Machine::exec`] path on both engines.
-    pub fn run_plan_faulted(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        hook: &mut dyn crate::FaultHook,
-    ) -> SimResult<RunReport> {
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
+                at += n;
+                continue;
             }
             let Some(op) = plan.ops.get(at) else {
                 return Err(SimError::BadControlFlow {
@@ -1874,22 +1757,34 @@ impl Machine {
                 });
             };
             let pc = (at as u64) * 4;
-            let instr = &plan.source.instrs[at];
-            let flow = match hook.before(pc, instr, self.mem_footprint(instr).as_ref()) {
-                crate::FaultAction::Pass => {
+            let action = if intercept {
+                hooks.before(self, pc, &plan.source.instrs[at], seq)
+            } else {
+                FaultAction::Pass
+            };
+            let flow = match action {
+                FaultAction::Pass => {
+                    let instr = &plan.source.instrs[at];
+                    let event = observe.then(|| self.retire_event(pc, instr, op.class, seq));
                     let flow = op.kind.execute(self, plan, key)?;
                     self.counters.retire_class(op.class);
+                    if let Some(event) = &event {
+                        hooks.retire(event);
+                    }
                     flow
                 }
-                crate::FaultAction::Trap(e) => return Err(e),
-                crate::FaultAction::Replace(r) => {
-                    // The replacement goes through the generic exec path
-                    // (which retires it under the *replacement*'s class —
-                    // exactly what the legacy loop does). It may be a
-                    // vsetvli, so the specialization key is refreshed
-                    // unconditionally.
+                FaultAction::Trap(e) => return Err(e),
+                // A replacement goes through the generic exec path, which
+                // retires it under its own class — exactly what the legacy
+                // loop does. It may be a vsetvli, so the specialization key
+                // is refreshed unconditionally.
+                FaultAction::Replace(r) => {
+                    let event = observe.then(|| self.retire_event(pc, &r, InstrClass::of(&r), seq));
                     let ctl = self.exec(pc, &r)?;
                     key = vtype_key(self);
+                    if let Some(event) = &event {
+                        hooks.retire(event);
+                    }
                     match ctl {
                         Control::Next => Flow::Seq,
                         Control::Jump(t) => resolve_dynamic(t, plan.ops.len()),

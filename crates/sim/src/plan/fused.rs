@@ -150,16 +150,29 @@ impl FusionTable {
         self.windows.len()
     }
 
-    /// The window starting exactly at instruction index `idx`, if any.
-    /// Entering a window anywhere else (a jump into its interior) simply
-    /// runs per-op — every window op is straight-line, so the semantics
-    /// are position-independent.
+    /// Execute the window starting exactly at instruction index `idx` as
+    /// one bulk kernel, and return its length; the caller retires its ops.
+    /// Declines (`None`, nothing changed) when no window starts there, when
+    /// `fuel_left` does not cover the whole window (per-op execution then
+    /// exhausts fuel at the exact op the plan tier would), or when a
+    /// precondition fails. Entering a window anywhere else (a jump into its
+    /// interior) simply runs per-op — every window op is straight-line, so
+    /// the semantics are position-independent.
     #[inline(always)]
-    fn at(&self, idx: usize) -> Option<&Window> {
-        match self.starts.get(idx) {
-            Some(Some(w)) => Some(&self.windows[*w as usize]),
-            _ => None,
+    pub(super) fn run_window(
+        &self,
+        m: &mut Machine,
+        idx: usize,
+        key: u8,
+        fuel_left: u64,
+    ) -> Option<usize> {
+        let w = &self.windows[(*self.starts.get(idx)?)? as usize];
+        if fuel_left < u64::from(w.len) || !w.try_execute(m, key) {
+            return None;
         }
+        m.fused_stats.windows += 1;
+        m.fused_stats.ops += u64::from(w.len);
+        Some(w.len as usize)
     }
 }
 
@@ -788,184 +801,30 @@ fn exec_whole_chain(m: &mut Machine, ops: &[WholeOp]) -> bool {
     true
 }
 
-// ----------------------------------------------------------------- drivers --
+// ------------------------------------------------------------------ driver --
 
 impl Machine {
-    /// Run a compiled plan on the **fused tier**: identical to
-    /// [`Machine::run_plan`] architecturally (state, counters, traps, fuel
-    /// metering — the differential suites enforce it), but executes
-    /// recognized instruction windows as single bulk kernels. Fusion
+    /// Run a compiled plan on the **fused tier**: [`Machine::run_plan`]
+    /// (same arguments, same hooks) with recognized instruction windows
+    /// executed as single bulk kernels. Architecturally identical to the
+    /// plan tier — state, counters, traps, fuel metering, trace events,
+    /// and `stop_pc`; the differential suites enforce it — so a snapshot
+    /// paused on any tier resumes identically on any other. Fusion
     /// activity is tallied in [`Machine::fused_stats`].
-    pub fn run_fused(&mut self, plan: &CompiledPlan, fuel: u64) -> SimResult<RunReport> {
-        self.run_fused_from(plan, fuel, 0)
-    }
-
-    /// [`Machine::run_fused`] with [`crate::DEFAULT_FUEL`].
-    pub fn run_fused_default(&mut self, plan: &CompiledPlan) -> SimResult<RunReport> {
-        self.run_fused(plan, crate::program::DEFAULT_FUEL)
-    }
-
-    /// [`Machine::run_fused`] starting at byte address `start_pc` — the
-    /// resume half of checkpointing, mirroring [`Machine::run_plan_from`].
-    /// A snapshot paused on any tier resumes identically on any other.
-    pub fn run_fused_from(
+    ///
+    /// Hooks that intercept (a fault hook or a cancel token) turn windows
+    /// off: they must see every instruction boundary, and a window has no
+    /// interior ones. By the dispatch-independence invariant the per-op
+    /// result is the one a window would have produced.
+    // Out of line for the reason given at `Machine::run_plan`.
+    #[inline(never)]
+    pub fn run_fused<H: RunHooks>(
         &mut self,
         plan: &CompiledPlan,
         fuel: u64,
         start_pc: u64,
+        hooks: &mut H,
     ) -> SimResult<RunReport> {
-        let table = plan.fusion();
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = (start_pc / 4) as usize;
-        let mut bad: Option<u64> = (!start_pc.is_multiple_of(4)).then_some(start_pc);
-        loop {
-            let spent = self.counters.total() - before;
-            if spent >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            // Window fast path: only with enough fuel for the whole window
-            // (otherwise per-op execution exhausts fuel at the exact op the
-            // plan tier would) and only when every precondition holds.
-            if let Some(w) = table.at(at) {
-                if fuel - spent >= u64::from(w.len) && w.try_execute(self, key) {
-                    for op in &plan.ops[at..at + w.len as usize] {
-                        self.counters.retire_class(op.class);
-                    }
-                    self.fused_stats.windows += 1;
-                    self.fused_stats.ops += u64::from(w.len);
-                    at += w.len as usize;
-                    continue;
-                }
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Like [`Machine::run_fused`], but reports every retired instruction
-    /// to `sink` — including the constituents of fused windows, in order,
-    /// with events byte-identical to [`Machine::run_plan_traced`]. Window
-    /// ops never touch `xregs`, `vl`, or `vtype`, and `mem_footprint` is a
-    /// pure function of those, so the per-op events can be assembled after
-    /// the bulk kernel without observable difference.
-    pub fn run_fused_traced(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SimResult<RunReport> {
-        sink.launch(&plan.source);
-        let table = plan.fusion();
-        let before = self.counters.total();
-        let mut key = vtype_key(self);
-        let mut at: usize = 0;
-        let mut bad: Option<u64> = None;
-        loop {
-            let seq = self.counters.total() - before;
-            if seq >= fuel {
-                self.stop_pc = bad.unwrap_or((at as u64) * 4);
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if let Some(target) = bad {
-                return Err(SimError::BadControlFlow { target });
-            }
-            if let Some(w) = table.at(at) {
-                if fuel - seq >= u64::from(w.len) && w.try_execute(self, key) {
-                    self.fused_stats.windows += 1;
-                    self.fused_stats.ops += u64::from(w.len);
-                    let end = at + w.len as usize;
-                    let ops = plan.ops[at..end].iter();
-                    for (k, (op, instr)) in ops.zip(&plan.source.instrs[at..end]).enumerate() {
-                        self.counters.retire_class(op.class);
-                        let event = RetireEvent {
-                            pc: ((at + k) as u64) * 4,
-                            instr,
-                            class: op.class,
-                            vl: self.vl(),
-                            vtype: self.vtype(),
-                            mem: self.mem_footprint(instr),
-                            seq: seq + k as u64,
-                        };
-                        sink.retire(&event);
-                    }
-                    at = end;
-                    continue;
-                }
-            }
-            let Some(op) = plan.ops.get(at) else {
-                return Err(SimError::BadControlFlow {
-                    target: (at as u64) * 4,
-                });
-            };
-            let instr = &plan.source.instrs[at];
-            let event = RetireEvent {
-                pc: (at as u64) * 4,
-                instr,
-                class: op.class,
-                vl: self.vl(),
-                vtype: self.vtype(),
-                mem: self.mem_footprint(instr),
-                seq,
-            };
-            let flow = op.kind.execute(self, plan, key)?;
-            self.counters.retire_class(op.class);
-            sink.retire(&event);
-            match flow {
-                Flow::Seq => at += 1,
-                Flow::To(i) => at = i,
-                Flow::Cfg => {
-                    key = vtype_key(self);
-                    at += 1;
-                }
-                Flow::BadJump(t) => bad = Some(t),
-                Flow::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: (at as u64) * 4,
-                    })
-                }
-            }
-        }
-    }
-
-    /// Fused-tier faulted run. A [`crate::FaultHook`] must observe *every*
-    /// instruction boundary (hooks are stateful — ordinals, one-shot
-    /// arming), and a fused window has no interior boundaries, so the
-    /// faulted run uses the per-op plan loop directly: the hook is
-    /// consulted at exactly the same pre-execution points, and by the
-    /// dispatch-independence invariant the result is identical to what a
-    /// boundary-respecting fused run would produce.
-    pub fn run_fused_faulted(
-        &mut self,
-        plan: &CompiledPlan,
-        fuel: u64,
-        hook: &mut dyn crate::FaultHook,
-    ) -> SimResult<RunReport> {
-        self.run_plan_faulted(plan, fuel, hook)
+        self.plan_loop::<true, H>(plan, fuel, start_pc, hooks)
     }
 }

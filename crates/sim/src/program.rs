@@ -8,8 +8,9 @@
 
 use crate::error::{SimError, SimResult};
 use crate::exec::Control;
+use crate::fault::FaultAction;
+use crate::hooks::RunHooks;
 use crate::machine::Machine;
-use crate::trace::{RetireEvent, TraceSink};
 use rvv_isa::{encode, Instr, InstrClass};
 use std::fmt;
 
@@ -136,45 +137,12 @@ impl Machine {
     /// `fuel` retired instructions.
     ///
     /// This compiles the program to a [`crate::CompiledPlan`] and drives it
-    /// ([`Machine::run_plan`]). Callers that run the same program repeatedly
-    /// should compile once and call `run_plan` directly to amortise the
-    /// decode cost.
+    /// on the plan tier with no hooks ([`Machine::run_plan`]). Callers that
+    /// run the same program repeatedly should compile once and call
+    /// `run_plan` directly to amortise the decode cost.
     pub fn run(&mut self, program: &Program, fuel: u64) -> SimResult<RunReport> {
         let plan = crate::plan::CompiledPlan::compile(program.clone());
-        self.run_plan(&plan, fuel)
-    }
-
-    /// [`Machine::run`] with [`DEFAULT_FUEL`].
-    pub fn run_default(&mut self, program: &Program) -> SimResult<RunReport> {
-        self.run(program, DEFAULT_FUEL)
-    }
-
-    /// Like [`Machine::run`], but reports every retired instruction to
-    /// `sink` (see [`TraceSink`]). Compiles a plan and delegates to
-    /// [`Machine::run_plan_traced`]; event assembly and delivery ordering
-    /// match [`Machine::run_legacy_traced`] exactly.
-    pub fn run_traced(
-        &mut self,
-        program: &Program,
-        fuel: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SimResult<RunReport> {
-        let plan = crate::plan::CompiledPlan::compile(program.clone());
-        self.run_plan_traced(&plan, fuel, sink)
-    }
-
-    /// Like [`Machine::run`], but calls `hook(pc, instr)` before executing
-    /// each instruction — an execution trace for debugging kernels and for
-    /// tools that want per-instruction visibility (capture what you need
-    /// from pc/instr and the counters).
-    pub fn run_hooked(
-        &mut self,
-        program: &Program,
-        fuel: u64,
-        hook: impl FnMut(u64, &Instr),
-    ) -> SimResult<RunReport> {
-        let plan = crate::plan::CompiledPlan::compile(program.clone());
-        self.run_plan_hooked(&plan, fuel, hook)
+        self.run_plan(&plan, fuel, 0, &mut ())
     }
 
     /// The reference interpreter: decode-classify-dispatch every step, no
@@ -182,62 +150,36 @@ impl Machine {
     /// tests assert that [`Machine::run_plan`] is architecturally
     /// indistinguishable from this loop, and the host-throughput harness
     /// measures both in one process.
-    pub fn run_legacy(&mut self, program: &Program, fuel: u64) -> SimResult<RunReport> {
-        self.run_legacy_from(program, fuel, 0)
-    }
-
-    /// [`Machine::run_legacy`] starting at byte address `start_pc` instead
-    /// of 0 — the resume half of checkpointing. A run that paused with
-    /// [`SimError::FuelExhausted`] records the pause point in
+    ///
+    /// Runs from byte address `start_pc` until `ecall`, a trap, or `fuel`
+    /// retired instructions, under `hooks` (`&mut ()` for none; see
+    /// [`RunHooks`]). `start_pc` is 0 for a fresh launch. A run that paused
+    /// with [`SimError::FuelExhausted`] records the pause point in
     /// [`Machine::stop_pc`]; continuing from it with fresh fuel retires
     /// exactly the instructions an uninterrupted run would have, including
     /// reproducing a pending bad-jump trap if the pause landed on one.
-    pub fn run_legacy_from(
+    ///
+    /// A retire event is assembled *before* its instruction executes — so
+    /// memory footprints see the pre-execution base registers — and
+    /// delivered *after* it retires; a trapping instruction is neither
+    /// counted nor reported.
+    // Out of line for the reason given at `Machine::run_plan`.
+    #[inline(never)]
+    pub fn run_legacy<H: RunHooks>(
         &mut self,
         program: &Program,
         fuel: u64,
         start_pc: u64,
+        hooks: &mut H,
     ) -> SimResult<RunReport> {
+        let observe = H::OBSERVES && hooks.observes();
+        let intercept = H::INTERCEPTS && hooks.intercepts();
+        if observe {
+            hooks.launch(program);
+        }
         let before = self.counters.total();
         let len = program.instrs.len() as u64;
         let mut pc: u64 = start_pc;
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = pc;
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if !pc.is_multiple_of(4) || pc / 4 >= len {
-                return Err(SimError::BadControlFlow { target: pc });
-            }
-            let instr = &program.instrs[(pc / 4) as usize];
-            match self.exec(pc, instr)? {
-                Control::Next => pc += 4,
-                Control::Jump(target) => pc = target,
-                Control::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: pc,
-                    })
-                }
-            }
-        }
-    }
-
-    /// [`Machine::run_legacy`] with per-retire reporting to `sink`. The
-    /// event is assembled *before* the instruction executes — so memory
-    /// footprints see the pre-execution base registers — and delivered
-    /// *after* it retires successfully; a trapping instruction is neither
-    /// counted nor reported.
-    pub fn run_legacy_traced(
-        &mut self,
-        program: &Program,
-        fuel: u64,
-        sink: &mut dyn TraceSink,
-    ) -> SimResult<RunReport> {
-        sink.launch(program);
-        let before = self.counters.total();
-        let len = program.instrs.len() as u64;
-        let mut pc: u64 = 0;
         loop {
             let seq = self.counters.total() - before;
             if seq >= fuel {
@@ -247,59 +189,22 @@ impl Machine {
             if !pc.is_multiple_of(4) || pc / 4 >= len {
                 return Err(SimError::BadControlFlow { target: pc });
             }
-            let instr = &program.instrs[(pc / 4) as usize];
-            let event = RetireEvent {
-                pc,
-                instr,
-                class: InstrClass::of(instr),
-                vl: self.vl(),
-                vtype: self.vtype(),
-                mem: self.mem_footprint(instr),
-                seq,
-            };
-            let ctl = self.exec(pc, instr)?;
-            sink.retire(&event);
-            match ctl {
-                Control::Next => pc += 4,
-                Control::Jump(target) => pc = target,
-                Control::Halt => {
-                    return Ok(RunReport {
-                        retired: self.counters.total() - before,
-                        halt_pc: pc,
-                    })
+            let fetched = &program.instrs[(pc / 4) as usize];
+            let replaced = if intercept {
+                match hooks.before(self, pc, fetched, seq) {
+                    FaultAction::Pass => None,
+                    FaultAction::Trap(e) => return Err(e),
+                    FaultAction::Replace(r) => Some(r),
                 }
-            }
-        }
-    }
-
-    /// [`Machine::run_legacy`] with a [`crate::FaultHook`] consulted before
-    /// each instruction executes. The reference semantics for
-    /// [`Machine::run_plan_faulted`] — the chaos suite asserts both engines
-    /// produce identical results (and identical failures) under the same
-    /// hook.
-    pub fn run_legacy_faulted(
-        &mut self,
-        program: &Program,
-        fuel: u64,
-        hook: &mut dyn crate::FaultHook,
-    ) -> SimResult<RunReport> {
-        let before = self.counters.total();
-        let len = program.instrs.len() as u64;
-        let mut pc: u64 = 0;
-        loop {
-            if self.counters.total() - before >= fuel {
-                self.stop_pc = pc;
-                return Err(SimError::FuelExhausted { fuel });
-            }
-            if !pc.is_multiple_of(4) || pc / 4 >= len {
-                return Err(SimError::BadControlFlow { target: pc });
-            }
-            let instr = &program.instrs[(pc / 4) as usize];
-            let ctl = match hook.before(pc, instr, self.mem_footprint(instr).as_ref()) {
-                crate::FaultAction::Pass => self.exec(pc, instr)?,
-                crate::FaultAction::Trap(e) => return Err(e),
-                crate::FaultAction::Replace(r) => self.exec(pc, &r)?,
+            } else {
+                None
             };
+            let instr = replaced.as_ref().unwrap_or(fetched);
+            let event = observe.then(|| self.retire_event(pc, instr, InstrClass::of(instr), seq));
+            let ctl = self.exec(pc, instr)?;
+            if let Some(event) = &event {
+                hooks.retire(event);
+            }
             match ctl {
                 Control::Next => pc += 4,
                 Control::Jump(target) => pc = target,
@@ -363,7 +268,7 @@ mod tests {
     #[test]
     fn loop_runs_and_counts() {
         let mut m = m();
-        let r = m.run_default(&countdown()).unwrap();
+        let r = m.run(&countdown(), DEFAULT_FUEL).unwrap();
         // 1 init + 5 × (addi + bne) + ecall = 12.
         assert_eq!(r.retired, 12);
         assert_eq!(m.xreg(XReg::new(5)), 0);
@@ -398,7 +303,7 @@ mod tests {
             }],
         );
         assert!(matches!(
-            m.run_default(&p),
+            m.run(&p, DEFAULT_FUEL),
             Err(SimError::BadControlFlow { .. })
         ));
     }
@@ -414,7 +319,7 @@ mod tests {
             }],
         );
         assert!(matches!(
-            m.run_default(&p),
+            m.run(&p, DEFAULT_FUEL),
             Err(SimError::BadControlFlow { target: 0x1000 })
         ));
     }
@@ -435,7 +340,7 @@ mod tests {
             ],
         );
         assert!(matches!(
-            m.run_default(&p),
+            m.run(&p, DEFAULT_FUEL),
             Err(SimError::Breakpoint { pc: 4 })
         ));
     }
@@ -449,20 +354,6 @@ mod tests {
             let w = u32::from_le_bytes(chunk.try_into().unwrap());
             assert_eq!(rvv_isa::decode(w).unwrap(), p.instrs[i]);
         }
-    }
-
-    #[test]
-    fn hooked_run_sees_every_retired_instruction() {
-        let mut m = m();
-        let mut trace = Vec::new();
-        let r = m
-            .run_hooked(&countdown(), 1000, |pc, i| trace.push((pc, i.to_string())))
-            .unwrap();
-        assert_eq!(trace.len() as u64, r.retired);
-        assert_eq!(trace[0].1, "addi x5, x0, 5");
-        assert_eq!(trace.last().unwrap().1, "ecall");
-        // The loop body repeats five times.
-        assert_eq!(trace.iter().filter(|(pc, _)| *pc == 4).count(), 5);
     }
 
     #[test]
@@ -485,9 +376,12 @@ mod tests {
             launches: Vec::new(),
         };
         let mut traced = m();
-        let r = traced.run_traced(&countdown(), 1000, &mut sink).unwrap();
+        let plan = crate::plan::CompiledPlan::compile(countdown());
+        let r = traced
+            .run_plan(&plan, 1000, 0, &mut crate::HookSet::trace(&mut sink))
+            .unwrap();
         let mut plain = m();
-        let r2 = plain.run_default(&countdown()).unwrap();
+        let r2 = plain.run(&countdown(), DEFAULT_FUEL).unwrap();
         // Same report, same architectural outcome, same counters.
         assert_eq!(r, r2);
         assert_eq!(traced.xreg(XReg::new(5)), plain.xreg(XReg::new(5)));
@@ -537,8 +431,10 @@ mod tests {
     fn plan_and_legacy_loops_agree() {
         let mut planned = m();
         let mut legacy = m();
-        let r1 = planned.run_default(&countdown()).unwrap();
-        let r2 = legacy.run_legacy(&countdown(), DEFAULT_FUEL).unwrap();
+        let r1 = planned.run(&countdown(), DEFAULT_FUEL).unwrap();
+        let r2 = legacy
+            .run_legacy(&countdown(), DEFAULT_FUEL, 0, &mut ())
+            .unwrap();
         assert_eq!(r1, r2);
         assert_eq!(planned.xreg(XReg::new(5)), legacy.xreg(XReg::new(5)));
         assert_eq!(planned.counters, legacy.counters);

@@ -1,11 +1,10 @@
 //! Retire-time tracing hooks.
 //!
 //! A [`TraceSink`] observes every architecturally retired instruction of a
-//! [`Machine::run_traced`](crate::Machine::run_traced) run, together with
-//! the vector configuration it executed under and (for memory operations)
-//! the data footprint it touched. The plain
-//! [`Machine::run`](crate::Machine::run) loop does not know sinks exist —
-//! untraced execution pays nothing for this module.
+//! run whose [`HookSet`](crate::HookSet) carries it, together with the
+//! vector configuration it executed under and (for memory operations) the
+//! data footprint it touched. A run under `()` hooks compiles event
+//! assembly out — untraced execution pays nothing for this module.
 //!
 //! Sinks are deliberately *aggregating* consumers: the simulator hands each
 //! event by reference and keeps nothing, so a profiler that only bumps
@@ -103,6 +102,27 @@ pub trait TraceSink: std::any::Any {
 }
 
 impl Machine {
+    /// The event for `instr` retiring at byte address `pc`, assembled from
+    /// the pre-execution state (see [`RetireEvent`]).
+    #[inline]
+    pub(crate) fn retire_event<'i>(
+        &self,
+        pc: u64,
+        instr: &'i Instr,
+        class: InstrClass,
+        seq: u64,
+    ) -> RetireEvent<'i> {
+        RetireEvent {
+            pc,
+            instr,
+            class,
+            vl: self.vl(),
+            vtype: self.vtype(),
+            mem: self.mem_footprint(instr),
+            seq,
+        }
+    }
+
     /// Pre-execution memory footprint of `instr`, if it is a load or store.
     ///
     /// Computed from architectural state *before* the instruction executes;

@@ -10,8 +10,8 @@
 use proptest::prelude::*;
 use rvv_isa::{decode, Instr, InstrClass, VReg, VType, XReg};
 use rvv_sim::{
-    CompiledPlan, FaultAction, FaultHook, Machine, MachineConfig, MemAccess, Program, RetireEvent,
-    RunReport, SimResult, TraceSink,
+    CompiledPlan, FaultAction, FaultHook, HookSet, Machine, MachineConfig, MemAccess, Program,
+    RetireEvent, RunReport, SimResult, TraceSink,
 };
 
 fn soup(words: &[u32]) -> Vec<Instr> {
@@ -119,16 +119,18 @@ fn run_tier(
 ) -> Outcome {
     const FUEL: u64 = 50_000;
     let (mut sink, mut fault) = (Recorder::default(), CountingPass::default());
+    let mut set = match hooks {
+        Hooks::None => HookSet::default(),
+        Hooks::Trace => HookSet::trace(&mut sink),
+        Hooks::Fault => HookSet::fault(&mut fault),
+    };
     let result = match (tier, hooks) {
-        (0, Hooks::None) => m.run_plan(plan, FUEL),
-        (1, Hooks::None) => m.run_legacy(p, FUEL),
-        (_, Hooks::None) => m.run_fused(plan, FUEL),
-        (0, Hooks::Trace) => m.run_plan_traced(plan, FUEL, &mut sink),
-        (1, Hooks::Trace) => m.run_legacy_traced(p, FUEL, &mut sink),
-        (_, Hooks::Trace) => m.run_fused_traced(plan, FUEL, &mut sink),
-        (0, Hooks::Fault) => m.run_plan_faulted(plan, FUEL, &mut fault),
-        (1, Hooks::Fault) => m.run_legacy_faulted(p, FUEL, &mut fault),
-        (_, Hooks::Fault) => m.run_fused_faulted(plan, FUEL, &mut fault),
+        (0, Hooks::None) => m.run_plan(plan, FUEL, 0, &mut ()),
+        (1, Hooks::None) => m.run_legacy(p, FUEL, 0, &mut ()),
+        (_, Hooks::None) => m.run_fused(plan, FUEL, 0, &mut ()),
+        (0, _) => m.run_plan(plan, FUEL, 0, &mut set),
+        (1, _) => m.run_legacy(p, FUEL, 0, &mut set),
+        (_, _) => m.run_fused(plan, FUEL, 0, &mut set),
     };
     Outcome {
         result,

@@ -4,7 +4,7 @@
 //! exhaustion — every case checked against the legacy interpreter.
 
 use rvv_isa::{AluOp, BranchCond, Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
-use rvv_sim::{CompiledPlan, Machine, MachineConfig, Program, SimError};
+use rvv_sim::{CompiledPlan, HookSet, Machine, MachineConfig, Program, SimError};
 
 fn machine() -> Machine {
     Machine::new(MachineConfig {
@@ -18,8 +18,8 @@ fn both(p: &Program, fuel: u64) -> Result<rvv_sim::RunReport, SimError> {
     let plan = CompiledPlan::compile(p.clone());
     let mut m1 = machine();
     let mut m2 = machine();
-    let r1 = m1.run_plan(&plan, fuel);
-    let r2 = m2.run_legacy(p, fuel);
+    let r1 = m1.run_plan(&plan, fuel, 0, &mut ());
+    let r2 = m2.run_legacy(p, fuel, 0, &mut ());
     assert_eq!(r1, r2, "engines disagree on {}", p.name);
     assert_eq!(m1.counters, m2.counters, "counters disagree on {}", p.name);
     r1
@@ -116,8 +116,8 @@ fn dynamic_jalr_in_and_out_of_range() {
         let mut m2 = machine();
         m1.set_xreg(XReg::new(5), target);
         m2.set_xreg(XReg::new(5), target);
-        let r1 = m1.run_plan(&plan, 100);
-        let r2 = m2.run_legacy(&p, 100);
+        let r1 = m1.run_plan(&plan, 100, 0, &mut ());
+        let r2 = m2.run_legacy(&p, 100, 0, &mut ());
         assert_eq!(r1, r2, "jalr to {target:#x}");
         if target == 8 {
             assert_eq!(r1.unwrap().halt_pc, 8);
@@ -181,8 +181,8 @@ fn vsetvl_flipping_vtype_re_resolves_the_kernel_cache() {
     let plan = CompiledPlan::compile(p.clone());
     let mut m1 = machine();
     let mut m2 = machine();
-    let r1 = m1.run_plan(&plan, 1000).unwrap();
-    let r2 = m2.run_legacy(&p, 1000).unwrap();
+    let r1 = m1.run_plan(&plan, 1000, 0, &mut ()).unwrap();
+    let r2 = m2.run_legacy(&p, 1000, 0, &mut ()).unwrap();
     assert_eq!(r1, r2);
     assert_eq!(m1.counters, m2.counters);
     for v in 0..32 {
@@ -207,8 +207,8 @@ fn fuel_exhaustion_mid_block() {
     for fuel in [1u64, 7, 19, 20] {
         let mut m1 = machine();
         let mut m2 = machine();
-        let r1 = m1.run_plan(&plan, fuel);
-        let r2 = m2.run_legacy(&p, fuel);
+        let r1 = m1.run_plan(&plan, fuel, 0, &mut ());
+        let r2 = m2.run_legacy(&p, fuel, 0, &mut ());
         assert_eq!(r1, r2, "fuel {fuel}");
         assert_eq!(r1, Err(SimError::FuelExhausted { fuel }));
         assert_eq!(m1.counters.total(), m2.counters.total());
@@ -216,7 +216,7 @@ fn fuel_exhaustion_mid_block() {
     }
     // With just enough fuel the run completes.
     let mut m = machine();
-    assert!(m.run_plan(&plan, 21).is_ok());
+    assert!(m.run_plan(&plan, 21, 0, &mut ()).is_ok());
 }
 
 #[test]
@@ -260,8 +260,12 @@ fn traced_runs_produce_identical_event_streams() {
     let mut s2 = Rec::default();
     let mut m1 = machine();
     let mut m2 = machine();
-    let r1 = m1.run_plan_traced(&plan, 100, &mut s1).unwrap();
-    let r2 = m2.run_legacy_traced(&p, 100, &mut s2).unwrap();
+    let r1 = m1
+        .run_plan(&plan, 100, 0, &mut HookSet::trace(&mut s1))
+        .unwrap();
+    let r2 = m2
+        .run_legacy(&p, 100, 0, &mut HookSet::trace(&mut s2))
+        .unwrap();
     assert_eq!(r1, r2);
     assert_eq!(s1.0, s2.0, "trace event streams diverged");
     assert_eq!(s1.0.len() as u64, r1.retired);

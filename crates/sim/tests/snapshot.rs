@@ -148,7 +148,7 @@ fn machine_snapshot_serialization_round_trips_and_rejects_corruption() {
     stage(&mut m);
     let plan = CompiledPlan::compile(vector_program());
     assert!(matches!(
-        m.run_plan(&plan, 5),
+        m.run_plan(&plan, 5, 0, &mut ()),
         Err(SimError::FuelExhausted { fuel: 5 })
     ));
     let snap = m.snapshot();
@@ -171,16 +171,16 @@ fn pause_restore_resume_matches_uninterrupted_at_every_fuel_on_both_engines() {
 
     let mut reference = machine();
     stage(&mut reference);
-    let full = reference.run_plan(&plan, DEFAULT_FUEL).unwrap();
+    let full = reference.run_plan(&plan, DEFAULT_FUEL, 0, &mut ()).unwrap();
 
     for legacy in [false, true] {
         for k in 1..full.retired {
             let mut m = machine();
             stage(&mut m);
             let paused = if legacy {
-                m.run_legacy(&program, k)
+                m.run_legacy(&program, k, 0, &mut ())
             } else {
-                m.run_plan(&plan, k)
+                m.run_plan(&plan, k, 0, &mut ())
             };
             assert!(
                 matches!(paused, Err(SimError::FuelExhausted { .. })),
@@ -193,9 +193,9 @@ fn pause_restore_resume_matches_uninterrupted_at_every_fuel_on_both_engines() {
             resumed.restore(&snap);
             assert_eq!(resumed.stop_pc(), snap.stop_pc);
             let rest = if legacy {
-                resumed.run_legacy_from(&program, DEFAULT_FUEL, resumed.stop_pc())
+                resumed.run_legacy(&program, DEFAULT_FUEL, resumed.stop_pc(), &mut ())
             } else {
-                resumed.run_plan_from(&plan, DEFAULT_FUEL, resumed.stop_pc())
+                resumed.run_plan(&plan, DEFAULT_FUEL, resumed.stop_pc(), &mut ())
             }
             .unwrap_or_else(|e| panic!("legacy={legacy} k={k}: resume trapped: {e}"));
 
@@ -212,21 +212,23 @@ fn double_interruption_still_matches() {
     let plan = CompiledPlan::compile(program.clone());
     let mut reference = machine();
     stage(&mut reference);
-    let full = reference.run_plan(&plan, DEFAULT_FUEL).unwrap();
+    let full = reference.run_plan(&plan, DEFAULT_FUEL, 0, &mut ()).unwrap();
 
     let mut m = machine();
     stage(&mut m);
-    assert!(m.run_plan(&plan, 3).is_err());
+    assert!(m.run_plan(&plan, 3, 0, &mut ()).is_err());
     let first = m.snapshot();
 
     let mut m2 = machine();
     m2.restore(&first);
-    assert!(m2.run_plan_from(&plan, 4, m2.stop_pc()).is_err());
+    assert!(m2.run_plan(&plan, 4, m2.stop_pc(), &mut ()).is_err());
     let second = m2.snapshot();
 
     let mut m3 = machine();
     m3.restore(&second);
-    let rest = m3.run_plan_from(&plan, DEFAULT_FUEL, m3.stop_pc()).unwrap();
+    let rest = m3
+        .run_plan(&plan, DEFAULT_FUEL, m3.stop_pc(), &mut ())
+        .unwrap();
     assert_eq!(3 + 4 + rest.retired, full.retired);
     assert_same_state(&m3, &reference);
 }
@@ -247,23 +249,23 @@ fn pause_on_a_pending_bad_jump_reproduces_the_trap_text() {
     let plan = CompiledPlan::compile(p.clone());
 
     let mut uninterrupted = machine();
-    let want = uninterrupted.run_plan(&plan, 100).unwrap_err();
+    let want = uninterrupted.run_plan(&plan, 100, 0, &mut ()).unwrap_err();
 
     for legacy in [false, true] {
         let mut m = machine();
         let paused = if legacy {
-            m.run_legacy(&p, 1)
+            m.run_legacy(&p, 1, 0, &mut ())
         } else {
-            m.run_plan(&plan, 1)
+            m.run_plan(&plan, 1, 0, &mut ())
         };
         assert!(matches!(paused, Err(SimError::FuelExhausted { .. })));
         let snap = m.snapshot();
         let mut r = machine();
         r.restore(&snap);
         let got = if legacy {
-            r.run_legacy_from(&p, 100, r.stop_pc())
+            r.run_legacy(&p, 100, r.stop_pc(), &mut ())
         } else {
-            r.run_plan_from(&plan, 100, r.stop_pc())
+            r.run_plan(&plan, 100, r.stop_pc(), &mut ())
         }
         .unwrap_err();
         assert_eq!(got, want, "legacy={legacy}");
@@ -303,7 +305,7 @@ proptest! {
         ]);
         let save_x10 = m.xreg(XReg::new(10));
         m.set_xreg(XReg::new(10), u64::from(vl));
-        m.run_legacy(&p, 10).unwrap();
+        m.run_legacy(&p, 10, 0, &mut ()).unwrap();
         m.set_xreg(XReg::new(10), save_x10);
         let _ = stop_pc; // stop_pc is run-loop-owned; exercised elsewhere
 

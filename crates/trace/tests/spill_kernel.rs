@@ -4,7 +4,7 @@
 
 use rvv_asm::ProgramBuilder;
 use rvv_isa::{Lmul, MemWidth, Sew, VReg, VType, XReg};
-use rvv_sim::{Machine, MachineConfig, TraceSink};
+use rvv_sim::{CompiledPlan, HookSet, Machine, MachineConfig, TraceSink};
 use rvv_trace::TraceProfiler;
 
 const MEM: usize = 1 << 16;
@@ -42,10 +42,10 @@ fn detector_counts_only_stack_traffic() {
         mem_bytes: MEM,
     });
     let mut profiler = TraceProfiler::new(STACK_BASE..MEM as u64);
-    let program = spilling_kernel();
+    let plan = CompiledPlan::compile(spilling_kernel());
     profiler.phase_begin("kernel");
     let report = m
-        .run_traced(&program, 10_000, &mut profiler)
+        .run_plan(&plan, 10_000, 0, &mut HookSet::trace(&mut profiler))
         .expect("kernel runs");
     profiler.phase_end("kernel");
 
@@ -86,7 +86,8 @@ fn detector_is_quiet_without_stack_traffic() {
     });
     // Same kernel, but the profiler watches an empty region.
     let mut profiler = TraceProfiler::new(0..0);
-    m.run_traced(&spilling_kernel(), 10_000, &mut profiler)
+    let plan = CompiledPlan::compile(spilling_kernel());
+    m.run_plan(&plan, 10_000, 0, &mut HookSet::trace(&mut profiler))
         .expect("kernel runs");
     assert_eq!(profiler.spill().total_ops(), 0);
 }

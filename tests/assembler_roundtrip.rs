@@ -6,7 +6,7 @@ use scan_vector_rvv::asm::{parse_program, SpillProfile};
 use scan_vector_rvv::core::kernels;
 use scan_vector_rvv::core::{EnvConfig, ScanKind, ScanOp};
 use scan_vector_rvv::isa::{Lmul, Sew, VAluOp, VCmp};
-use scan_vector_rvv::sim::Program;
+use scan_vector_rvv::sim::{Program, DEFAULT_FUEL};
 
 fn check_roundtrip(p: &Program) {
     let text = p.to_string();
@@ -88,7 +88,7 @@ fn hand_written_assembly_with_labels_runs() {
         vlen: 128,
         mem_bytes: 4096,
     });
-    m.run_default(&p).unwrap();
+    m.run(&p, DEFAULT_FUEL).unwrap();
     assert_eq!(m.xreg(XReg::arg(0)), 55);
     assert_eq!(m.mem.read_u32_slice(0x100, 4), vec![55; 4]);
 }

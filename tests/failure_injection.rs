@@ -3,7 +3,7 @@
 
 use scan_vector_rvv::asm::ProgramBuilder;
 use scan_vector_rvv::isa::{Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
-use scan_vector_rvv::sim::{Machine, MachineConfig, Program, SimError};
+use scan_vector_rvv::sim::{Machine, MachineConfig, Program, SimError, DEFAULT_FUEL};
 
 fn machine() -> Machine {
     Machine::new(MachineConfig {
@@ -28,7 +28,7 @@ fn vector_op_before_vsetvli_is_vill() {
             Instr::Ecall,
         ],
     );
-    assert!(matches!(m.run_default(&p), Err(SimError::Vill)));
+    assert!(matches!(m.run(&p, DEFAULT_FUEL), Err(SimError::Vill)));
 }
 
 #[test]
@@ -41,7 +41,7 @@ fn misaligned_group_under_lmul() {
     b.halt();
     let p = b.finish().unwrap();
     assert!(matches!(
-        m.run_default(&p),
+        m.run(&p, DEFAULT_FUEL),
         Err(SimError::MisalignedGroup { .. })
     ));
 }
@@ -57,7 +57,7 @@ fn vector_load_out_of_bounds() {
     b.halt();
     let p = b.finish().unwrap();
     assert!(matches!(
-        m.run_default(&p),
+        m.run(&p, DEFAULT_FUEL),
         Err(SimError::MemOutOfBounds { .. })
     ));
 }
@@ -76,7 +76,7 @@ fn indexed_store_with_wild_index_traps() {
     b.halt();
     let p = b.finish().unwrap();
     assert!(matches!(
-        m.run_default(&p),
+        m.run(&p, DEFAULT_FUEL),
         Err(SimError::MemOutOfBounds { .. })
     ));
 }
@@ -92,7 +92,7 @@ fn slideup_overlap_constraint() {
     b.halt();
     let p = b.finish().unwrap();
     assert!(matches!(
-        m.run_default(&p),
+        m.run(&p, DEFAULT_FUEL),
         Err(SimError::OverlapConstraint { .. })
     ));
 }
@@ -109,7 +109,10 @@ fn guard_regions_catch_overruns() {
     b.vse(Sew::E32, VReg::new(8), XReg::new(11));
     b.halt();
     let p = b.finish().unwrap();
-    assert!(matches!(m.run_default(&p), Err(SimError::GuardHit { .. })));
+    assert!(matches!(
+        m.run(&p, DEFAULT_FUEL),
+        Err(SimError::GuardHit { .. })
+    ));
 }
 
 #[test]
@@ -127,7 +130,7 @@ fn fuel_exhaustion_reports_budget() {
     ));
     // The machine survives and can run something else afterwards.
     let ok = Program::new("ok", vec![Instr::Ecall]);
-    assert!(m.run_default(&ok).is_ok());
+    assert!(m.run(&ok, DEFAULT_FUEL).is_ok());
 }
 
 #[test]
