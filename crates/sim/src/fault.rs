@@ -185,4 +185,62 @@ mod tests {
         assert_eq!(b.xreg(XReg::new(5)), 42);
         assert_eq!(a.counters, b.counters);
     }
+
+    #[test]
+    fn a_traced_replacement_reports_what_retired() {
+        use crate::trace::{RetireEvent, TraceSink};
+        use rvv_isa::InstrClass;
+        /// Replaces the first instruction with a jump to the next one: a
+        /// different class from the `addi` it replaces.
+        struct JumpFirst(bool);
+        impl FaultHook for JumpFirst {
+            fn before(&mut self, _: u64, _: &Instr, _: Option<&MemAccess>) -> FaultAction {
+                if std::mem::replace(&mut self.0, true) {
+                    FaultAction::Pass
+                } else {
+                    FaultAction::Replace(Instr::Jal {
+                        rd: XReg::ZERO,
+                        offset: 4,
+                    })
+                }
+            }
+        }
+        #[derive(Default)]
+        struct Seen(Vec<(u64, Instr, InstrClass)>);
+        impl TraceSink for Seen {
+            fn retire(&mut self, e: &RetireEvent<'_>) {
+                self.0.push((e.pc, *e.instr, e.class));
+            }
+        }
+        let cfg = MachineConfig {
+            vlen: 128,
+            mem_bytes: 4096,
+        };
+        let plan = crate::plan::CompiledPlan::compile(program());
+        let mut streams = Vec::new();
+        for plan_tier in [true, false] {
+            let mut m = Machine::new(cfg);
+            let (mut hook, mut sink) = (JumpFirst(false), Seen::default());
+            let mut hooks = HookSet {
+                sink: Some(&mut sink),
+                fault: Some(&mut hook),
+                cancel: None,
+            };
+            let r = if plan_tier {
+                m.run_plan(&plan, 1000, 0, &mut hooks)
+            } else {
+                m.run_legacy(&program(), 1000, 0, &mut hooks)
+            };
+            assert_eq!(r.unwrap().retired, 3);
+            assert_eq!(m.xreg(XReg::new(5)), 2);
+            streams.push(sink.0);
+        }
+        assert_eq!(streams[0], streams[1]);
+        let jump = Instr::Jal {
+            rd: XReg::ZERO,
+            offset: 4,
+        };
+        assert_eq!(streams[0][0], (0, jump, InstrClass::of(&jump)));
+        assert_ne!(InstrClass::of(&jump), InstrClass::of(&program().instrs[0]));
+    }
 }

@@ -5,10 +5,14 @@
 //! exercises the fallback. Each test runs legacy, plan, and fused engines
 //! and requires bit-identical results, state, and counters, then asserts
 //! via [`Machine::fused_stats`] that fusion really fired (or really did
-//! not, for the fallback cases).
+//! not, for the fallback cases). Each also reruns the three engines under
+//! a pass-through fault hook, which must turn every window off.
 
 use rvv_isa::{AluOp, BranchCond, Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
-use rvv_sim::{CompiledPlan, HookSet, Machine, MachineConfig, Program, RetireEvent, TraceSink};
+use rvv_sim::{
+    CompiledPlan, FaultAction, FaultHook, HookSet, Machine, MachineConfig, MemAccess, Program,
+    RetireEvent, TraceSink,
+};
 
 fn machine() -> Machine {
     Machine::new(MachineConfig {
@@ -66,7 +70,41 @@ fn three_way(p: &Program, fuel: u64, setup: impl Fn(&mut Machine)) -> Machine {
     mf.mem.clear_guards();
     assert_same_state(&mp, &ml);
     assert_same_state(&mf, &ml);
+    // The same runs under a pass-through fault hook: every tier consults it
+    // at the same boundaries, and the fused tier takes no window, since a
+    // window has no interior boundaries to consult it at.
+    let mut seen = Vec::new();
+    for tier in 0..3 {
+        let mut m = machine();
+        setup(&mut m);
+        let mut hook = Calls::default();
+        let mut hooks = HookSet::fault(&mut hook);
+        let r = match tier {
+            0 => m.run_legacy(p, fuel, 0, &mut hooks),
+            1 => m.run_plan(&plan, fuel, 0, &mut hooks),
+            _ => m.run_fused(&plan, fuel, 0, &mut hooks),
+        };
+        assert_eq!(r, rl, "tier {tier} under a fault hook");
+        m.mem.clear_guards();
+        assert_same_state(&m, &ml);
+        assert_eq!(m.fused_stats.windows, 0, "tier {tier} fused under a hook");
+        seen.push(hook.0);
+    }
+    assert_eq!(seen[1], seen[0], "plan vs legacy hook calls");
+    assert_eq!(seen[2], seen[0], "fused vs legacy hook calls");
     mf
+}
+
+/// A fault hook that passes every instruction, recording where it was
+/// consulted.
+#[derive(Default)]
+struct Calls(Vec<u64>);
+
+impl FaultHook for Calls {
+    fn before(&mut self, pc: u64, _: &Instr, _: Option<&MemAccess>) -> FaultAction {
+        self.0.push(pc);
+        FaultAction::Pass
+    }
 }
 
 /// A strip-mined elementwise loop, the shape `build_elem_vx` emits:
