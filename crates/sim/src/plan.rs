@@ -1764,8 +1764,8 @@ impl Machine {
             };
             let flow = match action {
                 FaultAction::Pass => {
-                    let instr = &plan.source.instrs[at];
-                    let event = observe.then(|| self.retire_event(pc, instr, op.class, seq));
+                    let event = observe
+                        .then(|| self.retire_event(pc, &plan.source.instrs[at], op.class, seq));
                     let flow = op.kind.execute(self, plan, key)?;
                     self.counters.retire_class(op.class);
                     if let Some(event) = &event {
