@@ -230,7 +230,7 @@ pub type ScanEnv = Session;
 
 /// Launch `plan` on tier `exec` under `hooks`: the one place a tier picks
 /// its run loop.
-fn launch<H: RunHooks>(
+fn launch<H: RunHooks + ?Sized>(
     m: &mut Machine,
     exec: ExecEngine,
     plan: &CompiledPlan,
@@ -822,8 +822,9 @@ impl Session {
         };
         // One hooks value for whatever is attached. A fault hook turns
         // tracing off (fault injection and trace capture are separate
-        // experiments); the cancel token composes with either. With
-        // nothing attached the launch takes the plain `()` loop.
+        // experiments); the cancel token composes with either. With nothing
+        // or only a sink attached, the launch takes the `()` loop or the
+        // sink's own, which test no per-launch flags per instruction.
         let traced = self.fault.is_none();
         let mut hooks = HookSet {
             sink: self
@@ -834,11 +835,11 @@ impl Session {
             fault: self.fault.as_deref_mut().map(|h| h as _),
             cancel: self.cancel.as_ref(),
         };
-        let m = &mut self.machine;
-        let report = if hooks.is_empty() {
-            launch(m, self.exec, plan, fuel, &mut ())
-        } else {
-            launch(m, self.exec, plan, fuel, &mut hooks)
+        let (m, exec) = (&mut self.machine, self.exec);
+        let report = match (&mut hooks.sink, &hooks.fault, hooks.cancel) {
+            (None, None, None) => launch(m, exec, plan, fuel, &mut ()),
+            (Some(sink), None, None) => launch(m, exec, plan, fuel, &mut **sink),
+            _ => launch(m, exec, plan, fuel, &mut hooks),
         };
         // The run loop is the only source of `FuelExhausted`, and it always
         // carries the launch's metered fuel (injected fuel faults trap as

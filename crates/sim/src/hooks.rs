@@ -8,14 +8,17 @@
 //! the retire count, and [`RunHooks::retire`] (observation). Tracing, cost
 //! estimation, fault injection and deadlines all go through this seam.
 //!
-//! Two implementations cover every caller:
+//! Three implementations cover every caller:
 //!
 //! * `()` — no hooks. Both associated constants are `false`, so the loop
 //!   compiles to the plain fetch–execute loop with no per-instruction hook
 //!   work.
+//! * Any [`TraceSink`] — observation only, fixed at compile time: the
+//!   traced loop carries no interception and tests no flags.
 //! * [`HookSet`] — any mix of a [`TraceSink`], a [`FaultHook`] and a
 //!   [`CancelToken`] attached at run time. Which of them are present is
-//!   read once per launch.
+//!   read once per launch and tested per instruction, so a caller with
+//!   only a sink passes the sink itself.
 
 use crate::cancel::CancelToken;
 use crate::fault::{FaultAction, FaultHook};
@@ -67,9 +70,25 @@ impl RunHooks for () {
     const OBSERVES: bool = false;
 }
 
+/// A trace sink on its own: observation only.
+impl<S: TraceSink + ?Sized> RunHooks for S {
+    const INTERCEPTS: bool = false;
+    const OBSERVES: bool = true;
+
+    fn launch(&mut self, program: &Program) {
+        TraceSink::launch(self, program);
+    }
+
+    #[inline]
+    fn retire(&mut self, event: &RetireEvent<'_>) {
+        TraceSink::retire(self, event);
+    }
+}
+
 /// The hooks of one launch, attached at run time. Every part is optional;
-/// an empty set behaves exactly like `()` but pays a per-instruction
-/// branch, so callers with nothing attached pass `()` instead.
+/// an empty set, or one with only a sink, behaves exactly like `()` or the
+/// sink itself but pays per-instruction branches, so callers pass those
+/// instead.
 #[derive(Default)]
 pub struct HookSet<'a> {
     /// Receives every retired instruction, fused-window constituents
@@ -85,25 +104,12 @@ pub struct HookSet<'a> {
 }
 
 impl<'a> HookSet<'a> {
-    /// Only a trace sink.
-    pub fn trace(sink: &'a mut dyn TraceSink) -> Self {
-        HookSet {
-            sink: Some(sink),
-            ..HookSet::default()
-        }
-    }
-
     /// Only a fault hook.
     pub fn fault(hook: &'a mut dyn FaultHook) -> Self {
         HookSet {
             fault: Some(hook),
             ..HookSet::default()
         }
-    }
-
-    /// Is nothing attached?
-    pub fn is_empty(&self) -> bool {
-        self.sink.is_none() && self.fault.is_none() && self.cancel.is_none()
     }
 }
 

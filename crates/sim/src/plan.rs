@@ -1694,7 +1694,7 @@ impl Machine {
     // would otherwise inline them all into one function, which measured
     // ~15% slower on the plain loop.
     #[inline(never)]
-    pub fn run_plan<H: RunHooks>(
+    pub fn run_plan<H: RunHooks + ?Sized>(
         &mut self,
         plan: &CompiledPlan,
         fuel: u64,
@@ -1708,7 +1708,7 @@ impl Machine {
     /// window fast path in; it is taken only while `hooks` do not
     /// intercept, since a window has no interior boundaries.
     #[inline(always)]
-    fn plan_loop<const FUSE: bool, H: RunHooks>(
+    fn plan_loop<const FUSE: bool, H: RunHooks + ?Sized>(
         &mut self,
         plan: &CompiledPlan,
         fuel: u64,
@@ -1763,14 +1763,18 @@ impl Machine {
                 FaultAction::Pass
             };
             let flow = match action {
-                FaultAction::Pass => {
-                    let event = observe
-                        .then(|| self.retire_event(pc, &plan.source.instrs[at], op.class, seq));
+                // Two arms rather than an `Option` event: wrapping the event
+                // costs a copy of it per instruction.
+                FaultAction::Pass if observe => {
+                    let event = self.retire_event(pc, &plan.source.instrs[at], op.class, seq);
                     let flow = op.kind.execute(self, plan, key)?;
                     self.counters.retire_class(op.class);
-                    if let Some(event) = &event {
-                        hooks.retire(event);
-                    }
+                    hooks.retire(&event);
+                    flow
+                }
+                FaultAction::Pass => {
+                    let flow = op.kind.execute(self, plan, key)?;
+                    self.counters.retire_class(op.class);
                     flow
                 }
                 FaultAction::Trap(e) => return Err(e),

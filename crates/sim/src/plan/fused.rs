@@ -818,7 +818,7 @@ impl Machine {
     /// result is the one a window would have produced.
     // Out of line for the reason given at `Machine::run_plan`.
     #[inline(never)]
-    pub fn run_fused<H: RunHooks>(
+    pub fn run_fused<H: RunHooks + ?Sized>(
         &mut self,
         plan: &CompiledPlan,
         fuel: u64,

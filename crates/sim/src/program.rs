@@ -165,7 +165,7 @@ impl Machine {
     /// counted nor reported.
     // Out of line for the reason given at `Machine::run_plan`.
     #[inline(never)]
-    pub fn run_legacy<H: RunHooks>(
+    pub fn run_legacy<H: RunHooks + ?Sized>(
         &mut self,
         program: &Program,
         fuel: u64,
@@ -200,11 +200,15 @@ impl Machine {
                 None
             };
             let instr = replaced.as_ref().unwrap_or(fetched);
-            let event = observe.then(|| self.retire_event(pc, instr, InstrClass::of(instr), seq));
-            let ctl = self.exec(pc, instr)?;
-            if let Some(event) = &event {
-                hooks.retire(event);
-            }
+            // Two branches rather than an `Option` event, as in the plan loop.
+            let ctl = if observe {
+                let event = self.retire_event(pc, instr, InstrClass::of(instr), seq);
+                let ctl = self.exec(pc, instr)?;
+                hooks.retire(&event);
+                ctl
+            } else {
+                self.exec(pc, instr)?
+            };
             match ctl {
                 Control::Next => pc += 4,
                 Control::Jump(target) => pc = target,
@@ -377,9 +381,7 @@ mod tests {
         };
         let mut traced = m();
         let plan = crate::plan::CompiledPlan::compile(countdown());
-        let r = traced
-            .run_plan(&plan, 1000, 0, &mut crate::HookSet::trace(&mut sink))
-            .unwrap();
+        let r = traced.run_plan(&plan, 1000, 0, &mut sink).unwrap();
         let mut plain = m();
         let r2 = plain.run(&countdown(), DEFAULT_FUEL).unwrap();
         // Same report, same architectural outcome, same counters.

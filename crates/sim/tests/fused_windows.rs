@@ -727,12 +727,9 @@ fn fused_trace_stream_is_byte_identical_to_plan_and_legacy() {
     let mut tl = Rec::default();
     let mut tp = Rec::default();
     let mut tf = Rec::default();
-    ml.run_legacy(&p, 10_000, 0, &mut HookSet::trace(&mut tl))
-        .unwrap();
-    mp.run_plan(&plan, 10_000, 0, &mut HookSet::trace(&mut tp))
-        .unwrap();
-    mf.run_fused(&plan, 10_000, 0, &mut HookSet::trace(&mut tf))
-        .unwrap();
+    ml.run_legacy(&p, 10_000, 0, &mut tl).unwrap();
+    mp.run_plan(&plan, 10_000, 0, &mut tp).unwrap();
+    mf.run_fused(&plan, 10_000, 0, &mut tf).unwrap();
     assert!(mf.fused_stats.windows > 0, "traced run must fuse");
     assert_eq!(tp.0, tl.0, "plan vs legacy trace");
     assert_eq!(tf.0, tl.0, "fused vs legacy trace");

@@ -119,18 +119,16 @@ fn run_tier(
 ) -> Outcome {
     const FUEL: u64 = 50_000;
     let (mut sink, mut fault) = (Recorder::default(), CountingPass::default());
-    let mut set = match hooks {
-        Hooks::None => HookSet::default(),
-        Hooks::Trace => HookSet::trace(&mut sink),
-        Hooks::Fault => HookSet::fault(&mut fault),
-    };
     let result = match (tier, hooks) {
         (0, Hooks::None) => m.run_plan(plan, FUEL, 0, &mut ()),
         (1, Hooks::None) => m.run_legacy(p, FUEL, 0, &mut ()),
         (_, Hooks::None) => m.run_fused(plan, FUEL, 0, &mut ()),
-        (0, _) => m.run_plan(plan, FUEL, 0, &mut set),
-        (1, _) => m.run_legacy(p, FUEL, 0, &mut set),
-        (_, _) => m.run_fused(plan, FUEL, 0, &mut set),
+        (0, Hooks::Trace) => m.run_plan(plan, FUEL, 0, &mut sink),
+        (1, Hooks::Trace) => m.run_legacy(p, FUEL, 0, &mut sink),
+        (_, Hooks::Trace) => m.run_fused(plan, FUEL, 0, &mut sink),
+        (0, Hooks::Fault) => m.run_plan(plan, FUEL, 0, &mut HookSet::fault(&mut fault)),
+        (1, Hooks::Fault) => m.run_legacy(p, FUEL, 0, &mut HookSet::fault(&mut fault)),
+        (_, Hooks::Fault) => m.run_fused(plan, FUEL, 0, &mut HookSet::fault(&mut fault)),
     };
     Outcome {
         result,

@@ -4,7 +4,7 @@
 //! exhaustion — every case checked against the legacy interpreter.
 
 use rvv_isa::{AluOp, BranchCond, Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
-use rvv_sim::{CompiledPlan, HookSet, Machine, MachineConfig, Program, SimError};
+use rvv_sim::{CompiledPlan, Machine, MachineConfig, Program, SimError};
 
 fn machine() -> Machine {
     Machine::new(MachineConfig {
@@ -260,12 +260,8 @@ fn traced_runs_produce_identical_event_streams() {
     let mut s2 = Rec::default();
     let mut m1 = machine();
     let mut m2 = machine();
-    let r1 = m1
-        .run_plan(&plan, 100, 0, &mut HookSet::trace(&mut s1))
-        .unwrap();
-    let r2 = m2
-        .run_legacy(&p, 100, 0, &mut HookSet::trace(&mut s2))
-        .unwrap();
+    let r1 = m1.run_plan(&plan, 100, 0, &mut s1).unwrap();
+    let r2 = m2.run_legacy(&p, 100, 0, &mut s2).unwrap();
     assert_eq!(r1, r2);
     assert_eq!(s1.0, s2.0, "trace event streams diverged");
     assert_eq!(s1.0.len() as u64, r1.retired);

@@ -4,7 +4,7 @@
 
 use rvv_asm::ProgramBuilder;
 use rvv_isa::{Lmul, MemWidth, Sew, VReg, VType, XReg};
-use rvv_sim::{CompiledPlan, HookSet, Machine, MachineConfig, TraceSink};
+use rvv_sim::{CompiledPlan, Machine, MachineConfig, TraceSink};
 use rvv_trace::TraceProfiler;
 
 const MEM: usize = 1 << 16;
@@ -45,7 +45,7 @@ fn detector_counts_only_stack_traffic() {
     let plan = CompiledPlan::compile(spilling_kernel());
     profiler.phase_begin("kernel");
     let report = m
-        .run_plan(&plan, 10_000, 0, &mut HookSet::trace(&mut profiler))
+        .run_plan(&plan, 10_000, 0, &mut profiler)
         .expect("kernel runs");
     profiler.phase_end("kernel");
 
@@ -87,7 +87,7 @@ fn detector_is_quiet_without_stack_traffic() {
     // Same kernel, but the profiler watches an empty region.
     let mut profiler = TraceProfiler::new(0..0);
     let plan = CompiledPlan::compile(spilling_kernel());
-    m.run_plan(&plan, 10_000, 0, &mut HookSet::trace(&mut profiler))
+    m.run_plan(&plan, 10_000, 0, &mut profiler)
         .expect("kernel runs");
     assert_eq!(profiler.spill().total_ops(), 0);
 }
