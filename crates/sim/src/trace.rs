@@ -1,10 +1,12 @@
 //! Retire-time tracing hooks.
 //!
 //! A [`TraceSink`] observes every architecturally retired instruction of a
-//! run whose [`HookSet`](crate::HookSet) carries it, together with the
-//! vector configuration it executed under and (for memory operations) the
-//! data footprint it touched. A run under `()` hooks compiles event
-//! assembly out — untraced execution pays nothing for this module.
+//! run given the sink as its hooks (every sink is a
+//! [`RunHooks`](crate::RunHooks)) or a [`HookSet`](crate::HookSet) carrying
+//! it, together with the vector configuration it executed under and (for
+//! memory operations) the data footprint it touched. A run under `()`
+//! hooks compiles event assembly out — untraced execution pays nothing for
+//! this module.
 //!
 //! Sinks are deliberately *aggregating* consumers: the simulator hands each
 //! event by reference and keeps nothing, so a profiler that only bumps
