@@ -728,7 +728,12 @@ fn decode_op_v(w: u32) -> Result<Instr, DecodeError> {
                         vs2: vs2(w),
                         vm,
                     }),
-                    0b10001 => Ok(Instr::VId { vd: vd(w), vm }),
+                    0b10001 => {
+                        if vs2(w).num() != 0 {
+                            return Err(err(w, "vid.v requires vs2=0"));
+                        }
+                        Ok(Instr::VId { vd: vd(w), vm })
+                    }
                     _ => Err(err(w, "unknown VMUNARY0 vs1")),
                 },
                 0b010111 => {
@@ -882,6 +887,7 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(decode(0xffff_ffff).is_err());
         assert!(decode(0x0000_0000).is_err()); // all-zero is not a valid instruction
+        assert!(decode(0x5018_a057).is_err()); // vid.v with vs2 != 0
     }
 
     #[test]
