@@ -804,6 +804,12 @@ impl fmt::Display for Instr {
                 };
                 write!(f, "{m} {rs2}, {offset}({rs1})")
             }
+            OpImm {
+                op: AluOp::Sltu,
+                rd,
+                rs1,
+                imm,
+            } => write!(f, "sltiu {rd}, {rs1}, {imm}"),
             OpImm { op, rd, rs1, imm } => write!(f, "{}i {rd}, {rs1}, {imm}", op.mnemonic()),
             Op { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
             Csrr { rd, csr } => write!(f, "csrr {rd}, {}", csr.name()),
@@ -1051,6 +1057,13 @@ mod tests {
             offset: 8,
         };
         assert_eq!(i.to_string(), "lwu x5, 8(x11)");
+        let i = Instr::OpImm {
+            op: AluOp::Sltu,
+            rd: XReg::new(5),
+            rs1: XReg::new(6),
+            imm: 7,
+        };
+        assert_eq!(i.to_string(), "sltiu x5, x6, 7");
     }
 
     #[test]
