@@ -16,8 +16,8 @@
 
 use crate::builder::ProgramBuilder;
 use rvv_isa::{
-    AluOp, BranchCond, Instr, Lmul, MaskOp, MemWidth, Sew, VAluOp, VCmp, VCsr, VRedOp, VReg, VType,
-    XReg,
+    encode, AluOp, BranchCond, EncodeError, Instr, Lmul, MaskOp, MemWidth, Sew, VAluOp, VCmp, VCsr,
+    VRedOp, VReg, VType, XReg,
 };
 use rvv_sim::Program;
 use std::collections::HashMap;
@@ -112,6 +112,15 @@ fn parse_int(s: &str, line: usize) -> Result<i64, ParseError> {
     }
 }
 
+/// Convert a parsed immediate to its field's type, reporting values the type
+/// cannot hold (instead of silently truncating them) as the encoder would.
+fn narrow<T: TryFrom<i64>>(v: i64, field: &'static str, line: usize) -> Result<T, ParseError> {
+    T::try_from(v).map_err(|_| ParseError {
+        line,
+        msg: EncodeError::ImmOutOfRange { field, value: v }.to_string(),
+    })
+}
+
 /// `off(xreg)` or `(xreg)`.
 fn parse_mem_operand(s: &str, line: usize) -> Result<(i32, XReg), ParseError> {
     let open = s.find('(').ok_or_else(|| ParseError {
@@ -124,7 +133,7 @@ fn parse_mem_operand(s: &str, line: usize) -> Result<(i32, XReg), ParseError> {
     let off = if open == 0 {
         0
     } else {
-        parse_int(&s[..open], line)? as i32
+        narrow(parse_int(&s[..open], line)?, "offset", line)?
     };
     let reg = parse_xreg(&s[open + 1..s.len() - 1], line)?;
     Ok((off, reg))
@@ -302,7 +311,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
         if let Some(op) = scalar_alu(base) {
             if op.has_imm_form() {
                 need(3)?;
-                let imm = parse_int(ops[2], line)? as i32;
+                let imm = narrow(parse_int(ops[2], line)?, "op imm", line)?;
                 return Ok(Stmt::Instr(Instr::OpImm {
                     op,
                     rd: x(0)?,
@@ -314,7 +323,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
     }
     if mnemonic == "sltiu" {
         need(3)?;
-        let imm = parse_int(ops[2], line)? as i32;
+        let imm = narrow(parse_int(ops[2], line)?, "op imm", line)?;
         return Ok(Stmt::Instr(Instr::OpImm {
             op: AluOp::Sltu,
             rd: x(0)?,
@@ -369,7 +378,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
         let target = if ops[2].starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
             Target::Label(ops[2].to_string())
         } else {
-            Target::Offset(parse_int(ops[2], line)? as i32)
+            Target::Offset(narrow(parse_int(ops[2], line)?, "branch offset", line)?)
         };
         Ok(Stmt::Branch {
             cond,
@@ -390,7 +399,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
             let target = if ops[1].starts_with(|c: char| c.is_ascii_alphabetic() || c == '_') {
                 Target::Label(ops[1].to_string())
             } else {
-                Target::Offset(parse_int(ops[1], line)? as i32)
+                Target::Offset(narrow(parse_int(ops[1], line)?, "jal offset", line)?)
             };
             return Ok(Stmt::Jal { rd: x(0)?, target });
         }
@@ -405,7 +414,14 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
         }
         "lui" | "auipc" => {
             need(2)?;
-            let imm20 = parse_int(ops[1], line)? as i32;
+            // Display writes negative immediates as 32-bit two's complement.
+            let v = parse_int(ops[1], line)?;
+            let v = if (1i64 << 31..1 << 32).contains(&v) {
+                v - (1 << 32)
+            } else {
+                v
+            };
+            let imm20 = narrow(v, "upper imm", line)?;
             let rd = x(0)?;
             return Ok(Stmt::Instr(if mnemonic == "lui" {
                 Instr::Lui { rd, imm20 }
@@ -446,7 +462,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
             if ops.len() != 6 {
                 return err(line, "vsetivli expects rd, uimm, e*, m*, t*, m*");
             }
-            let uimm = parse_int(ops[1], line)? as u8;
+            let uimm = narrow(parse_int(ops[1], line)?, "vsetivli uimm", line)?;
             let vtype = parse_vtype(&ops[2..], line)?;
             return Ok(Stmt::Instr(Instr::Vsetivli {
                 rd: x(0)?,
@@ -578,7 +594,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
     // Vector arithmetic and friends: split `name.suffix`.
     if let Some((name, suffix)) = mnemonic.rsplit_once('.') {
         let (ops_nm, vm) = take_mask(ops);
-        let imm = |i: usize| parse_int(ops_nm[i], line).map(|x| x as i8);
+        let imm = |i: usize| narrow(parse_int(ops_nm[i], line)?, "vector imm5", line);
         match (valu(name), suffix) {
             (Some(op), "vv") => {
                 return Ok(Stmt::Instr(Instr::VOpVV {
@@ -703,7 +719,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
                 return Ok(Stmt::Instr(Instr::VSlideUpVI {
                     vd: v(0)?,
                     vs2: v(1)?,
-                    uimm: imm(2)? as u8,
+                    uimm: narrow(parse_int(ops_nm[2], line)?, "slide uimm", line)?,
                     vm,
                 }))
             }
@@ -719,7 +735,7 @@ fn parse_instr(mnemonic: &str, ops: &[&str], line: usize) -> Result<Stmt, ParseE
                 return Ok(Stmt::Instr(Instr::VSlideDownVI {
                     vd: v(0)?,
                     vs2: v(1)?,
-                    uimm: imm(2)? as u8,
+                    uimm: narrow(parse_int(ops_nm[2], line)?, "slide uimm", line)?,
                     vm,
                 }))
             }
@@ -864,7 +880,16 @@ pub fn parse_program(name: impl Into<String>, source: &str) -> Result<Program, P
             .map(str::trim)
             .filter(|s| !s.is_empty())
             .collect();
-        stmts.push((line, parse_instr(mnemonic, &ops, line)?));
+        let stmt = parse_instr(mnemonic, &ops, line)?;
+        if let Stmt::Instr(i) = &stmt {
+            // The text form must name an instruction the encoder accepts:
+            // no nonexistent operand forms, no out-of-range immediates.
+            encode(i).map_err(|e| ParseError {
+                line,
+                msg: format!("{mnemonic}: {e}"),
+            })?;
+        }
+        stmts.push((line, stmt));
     }
 
     // First pass: label addresses.
