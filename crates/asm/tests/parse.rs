@@ -46,3 +46,44 @@ fn in_range_immediates_parse() {
     let back = parse_program("ok", &p.to_string()).unwrap();
     assert_eq!(back.instrs, p.instrs);
 }
+
+/// Disassembly parses back to the same instruction for every decodable
+/// word with one fixed destination field (bits 11:7), plus `ecall` and
+/// `ebreak`: the text form of every instruction row, over all its other
+/// operand values. Branches and jumps are kept only when their target stays
+/// inside the one-line program.
+#[test]
+fn every_decodable_word_parses_back_from_its_disassembly() {
+    use rvv_isa::{decode, Instr};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    const RD: u32 = 5;
+    let checked = AtomicU64::new(0);
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get().min(8)) as u32;
+    let check = |w: u32| {
+        let Ok(i) = decode(w) else { return };
+        if let Instr::Branch { offset, .. } | Instr::Jal { offset, .. } = i {
+            if offset != 0 && offset != 4 {
+                return;
+            }
+        }
+        let text = format!("{i}\n");
+        let p = parse_program("w", &text).unwrap_or_else(|e| panic!("{w:#010x} `{i}`: {e}"));
+        assert_eq!(p.instrs, [i], "{w:#010x} `{i}`");
+        checked.fetch_add(1, Ordering::Relaxed);
+    };
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            s.spawn(move || {
+                // Bits 31:12 and 6:0 vary; bits 11:7 are fixed.
+                for x in (t..1 << 27).step_by(threads as usize) {
+                    check(((x >> 7) << 12) | (RD << 7) | (x & 0x7f));
+                }
+            });
+        }
+    });
+    check(0x0000_0073);
+    check(0x0010_0073);
+    let checked = checked.into_inner();
+    println!("{checked} words parse back");
+    assert_eq!(checked, 4_721_001);
+}
