@@ -45,57 +45,9 @@ impl InstrClass {
         InstrClass::VectorRed,
     ];
 
-    /// Classify an instruction.
+    /// Classify an instruction: the class of its variant's table rows.
     pub const fn of(instr: &Instr) -> InstrClass {
-        use Instr::*;
-        match instr {
-            Lui { .. } | Auipc { .. } | OpImm { .. } | Op { .. } => InstrClass::ScalarAlu,
-            Load { .. } | Store { .. } => InstrClass::ScalarMem,
-            Jal { .. } | Jalr { .. } | Branch { .. } | Ecall | Ebreak => InstrClass::ScalarCtrl,
-            Vsetvli { .. } | Vsetivli { .. } | Vsetvl { .. } | Csrr { .. } => InstrClass::VectorCfg,
-            VLoad { .. }
-            | VStore { .. }
-            | VLoadStrided { .. }
-            | VStoreStrided { .. }
-            | VLoadIndexed { .. }
-            | VStoreIndexed { .. }
-            | VLoadWhole { .. }
-            | VStoreWhole { .. }
-            | VLoadMask { .. }
-            | VStoreMask { .. } => InstrClass::VectorMem,
-            VOpVV { .. }
-            | VOpVX { .. }
-            | VOpVI { .. }
-            | VMergeVVM { .. }
-            | VMergeVXM { .. }
-            | VMergeVIM { .. }
-            | VMvVV { .. }
-            | VMvVX { .. }
-            | VMvVI { .. }
-            | VMvSX { .. }
-            | VMvXS { .. } => InstrClass::VectorAlu,
-            VCmpVV { .. }
-            | VCmpVX { .. }
-            | VCmpVI { .. }
-            | VMaskLogic { .. }
-            | VIota { .. }
-            | VId { .. }
-            | VCpop { .. }
-            | VFirst { .. }
-            | VMsbf { .. }
-            | VMsif { .. }
-            | VMsof { .. } => InstrClass::VectorMask,
-            VSlideUpVX { .. }
-            | VSlideUpVI { .. }
-            | VSlideDownVX { .. }
-            | VSlideDownVI { .. }
-            | VSlide1Up { .. }
-            | VSlide1Down { .. }
-            | VRGatherVV { .. }
-            | VRGatherVX { .. }
-            | VCompress { .. } => InstrClass::VectorPerm,
-            VRed { .. } => InstrClass::VectorRed,
-        }
+        crate::table::class_of(instr)
     }
 
     /// Stable index into [`InstrClass::ALL`] (for histogram arrays).

@@ -3,11 +3,13 @@
 //! Every instruction the workspace's kernels can emit is representable here.
 //! Families group instructions that share an encoding shape and an execution
 //! loop (e.g. every integer `OPIVV` arithmetic instruction is
-//! [`Instr::VOpVV`] with a [`VAluOp`]); the concrete mnemonic is recovered by
-//! the `Display` implementation, which renders standard assembly syntax.
+//! [`Instr::VOpVV`] with a [`VAluOp`]). Which family/selector combinations
+//! exist, and their mnemonics and encodings, is the instruction table's
+//! business (`table.rs`); the selector predicates below are read off it.
 
+use crate::operand::Kind;
+use crate::table;
 use crate::{Sew, VReg, VType, XReg};
-use core::fmt;
 
 /// Scalar ALU operation selector, shared by register-register
 /// ([`Instr::Op`]) and, for the subset that exists, immediate
@@ -51,47 +53,16 @@ pub enum AluOp {
 }
 
 impl AluOp {
+    const IMM: [Option<usize>; AluOp::Remu as usize + 1] = table::rows_of("OpImm");
+
     /// Does an `OP-IMM` (`*i`) form of this operation exist in RV64I?
     pub const fn has_imm_form(self) -> bool {
-        matches!(
-            self,
-            AluOp::Add
-                | AluOp::Sll
-                | AluOp::Slt
-                | AluOp::Sltu
-                | AluOp::Xor
-                | AluOp::Srl
-                | AluOp::Sra
-                | AluOp::Or
-                | AluOp::And
-        )
+        Self::IMM[self as usize].is_some()
     }
 
     /// Is this a shift (immediate operand is a 6-bit shamt on RV64)?
     pub const fn is_shift(self) -> bool {
-        matches!(self, AluOp::Sll | AluOp::Srl | AluOp::Sra)
-    }
-
-    fn mnemonic(self) -> &'static str {
-        match self {
-            AluOp::Add => "add",
-            AluOp::Sub => "sub",
-            AluOp::Sll => "sll",
-            AluOp::Slt => "slt",
-            AluOp::Sltu => "sltu",
-            AluOp::Xor => "xor",
-            AluOp::Srl => "srl",
-            AluOp::Sra => "sra",
-            AluOp::Or => "or",
-            AluOp::And => "and",
-            AluOp::Mul => "mul",
-            AluOp::Mulh => "mulh",
-            AluOp::Mulhu => "mulhu",
-            AluOp::Div => "div",
-            AluOp::Divu => "divu",
-            AluOp::Rem => "rem",
-            AluOp::Remu => "remu",
-        }
+        table::has_operand(Self::IMM[self as usize], Kind::Shamt)
     }
 }
 
@@ -112,19 +83,6 @@ pub enum BranchCond {
     Geu,
 }
 
-impl BranchCond {
-    fn mnemonic(self) -> &'static str {
-        match self {
-            BranchCond::Eq => "beq",
-            BranchCond::Ne => "bne",
-            BranchCond::Lt => "blt",
-            BranchCond::Ge => "bge",
-            BranchCond::Ltu => "bltu",
-            BranchCond::Geu => "bgeu",
-        }
-    }
-}
-
 /// Vector-state CSRs readable with `csrr` (the Zicsr subset kernels use:
 /// all three are read-only views of the vector configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -138,31 +96,32 @@ pub enum VCsr {
 }
 
 impl VCsr {
+    /// Every CSR with its address and assembly name, in declaration order.
+    pub(crate) const TABLE: [(VCsr, u32, &'static str); 3] = [
+        (VCsr::Vl, 0xC20, "vl"),
+        (VCsr::Vtype, 0xC21, "vtype"),
+        (VCsr::Vlenb, 0xC22, "vlenb"),
+    ];
+
     /// CSR address.
     pub const fn addr(self) -> u32 {
-        match self {
-            VCsr::Vl => 0xC20,
-            VCsr::Vtype => 0xC21,
-            VCsr::Vlenb => 0xC22,
-        }
+        Self::TABLE[self as usize].1
     }
 
     /// Decode from a CSR address.
     pub const fn from_addr(a: u32) -> Option<VCsr> {
-        match a {
-            0xC20 => Some(VCsr::Vl),
-            0xC21 => Some(VCsr::Vtype),
-            0xC22 => Some(VCsr::Vlenb),
-            _ => None,
+        let mut i = 0;
+        while i < Self::TABLE.len() {
+            if Self::TABLE[i].1 == a {
+                return Some(Self::TABLE[i].0);
+            }
+            i += 1;
         }
+        None
     }
 
-    fn name(self) -> &'static str {
-        match self {
-            VCsr::Vl => "vl",
-            VCsr::Vtype => "vtype",
-            VCsr::Vlenb => "vlenb",
-        }
+    pub(crate) const fn name(self) -> &'static str {
+        Self::TABLE[self as usize].2
     }
 }
 
@@ -242,73 +201,33 @@ pub enum VAluOp {
 }
 
 impl VAluOp {
+    const VV: [Option<usize>; VAluOp::Rem as usize + 1] = table::rows_of("VOpVV");
+    const VX: [Option<usize>; VAluOp::Rem as usize + 1] = table::rows_of("VOpVX");
+    const VI: [Option<usize>; VAluOp::Rem as usize + 1] = table::rows_of("VOpVI");
+
     /// Operations encoded under the `OPM*` funct3 space (multiply/divide).
     pub const fn is_opm(self) -> bool {
-        matches!(
-            self,
-            VAluOp::Mul
-                | VAluOp::Mulh
-                | VAluOp::Mulhu
-                | VAluOp::Divu
-                | VAluOp::Div
-                | VAluOp::Remu
-                | VAluOp::Rem
-        )
+        table::is_opm(Self::VV[self as usize])
     }
 
     /// Does a `.vv` form exist?
     pub const fn has_vv(self) -> bool {
-        !matches!(self, VAluOp::Rsub)
+        Self::VV[self as usize].is_some()
     }
 
     /// Does a `.vx` form exist? (All of this subset do.)
     pub const fn has_vx(self) -> bool {
-        true
+        Self::VX[self as usize].is_some()
     }
 
     /// Does a `.vi` form exist?
     pub const fn has_vi(self) -> bool {
-        matches!(
-            self,
-            VAluOp::Add
-                | VAluOp::Rsub
-                | VAluOp::And
-                | VAluOp::Or
-                | VAluOp::Xor
-                | VAluOp::Sll
-                | VAluOp::Srl
-                | VAluOp::Sra
-        )
+        Self::VI[self as usize].is_some()
     }
 
     /// Do the shift-style instructions interpret the immediate as unsigned?
     pub const fn imm_is_unsigned(self) -> bool {
-        matches!(self, VAluOp::Sll | VAluOp::Srl | VAluOp::Sra)
-    }
-
-    fn mnemonic(self) -> &'static str {
-        match self {
-            VAluOp::Add => "vadd",
-            VAluOp::Sub => "vsub",
-            VAluOp::Rsub => "vrsub",
-            VAluOp::Minu => "vminu",
-            VAluOp::Min => "vmin",
-            VAluOp::Maxu => "vmaxu",
-            VAluOp::Max => "vmax",
-            VAluOp::And => "vand",
-            VAluOp::Or => "vor",
-            VAluOp::Xor => "vxor",
-            VAluOp::Sll => "vsll",
-            VAluOp::Srl => "vsrl",
-            VAluOp::Sra => "vsra",
-            VAluOp::Mul => "vmul",
-            VAluOp::Mulh => "vmulh",
-            VAluOp::Mulhu => "vmulhu",
-            VAluOp::Divu => "vdivu",
-            VAluOp::Div => "vdiv",
-            VAluOp::Remu => "vremu",
-            VAluOp::Rem => "vrem",
-        }
+        table::has_operand(Self::VI[self as usize], Kind::Uimm5)
     }
 }
 
@@ -335,27 +254,17 @@ pub enum VCmp {
 }
 
 impl VCmp {
+    const VV: [Option<usize>; VCmp::Gt as usize + 1] = table::rows_of("VCmpVV");
+    const VI: [Option<usize>; VCmp::Gt as usize + 1] = table::rows_of("VCmpVI");
+
     /// Does a `.vv` form exist?
     pub const fn has_vv(self) -> bool {
-        !matches!(self, VCmp::Gtu | VCmp::Gt)
+        Self::VV[self as usize].is_some()
     }
 
     /// Does a `.vi` form exist?
     pub const fn has_vi(self) -> bool {
-        !matches!(self, VCmp::Ltu | VCmp::Lt)
-    }
-
-    fn mnemonic(self) -> &'static str {
-        match self {
-            VCmp::Eq => "vmseq",
-            VCmp::Ne => "vmsne",
-            VCmp::Ltu => "vmsltu",
-            VCmp::Lt => "vmslt",
-            VCmp::Leu => "vmsleu",
-            VCmp::Le => "vmsle",
-            VCmp::Gtu => "vmsgtu",
-            VCmp::Gt => "vmsgt",
-        }
+        Self::VI[self as usize].is_some()
     }
 }
 
@@ -380,21 +289,6 @@ pub enum MaskOp {
     Xnor,
 }
 
-impl MaskOp {
-    fn mnemonic(self) -> &'static str {
-        match self {
-            MaskOp::Andn => "vmandn.mm",
-            MaskOp::And => "vmand.mm",
-            MaskOp::Or => "vmor.mm",
-            MaskOp::Xor => "vmxor.mm",
-            MaskOp::Orn => "vmorn.mm",
-            MaskOp::Nand => "vmnand.mm",
-            MaskOp::Nor => "vmnor.mm",
-            MaskOp::Xnor => "vmxnor.mm",
-        }
-    }
-}
-
 /// Single-width integer reduction operation (`vred<op>.vs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VRedOp {
@@ -414,21 +308,6 @@ pub enum VRedOp {
     Maxu,
     /// `vredmax.vs`.
     Max,
-}
-
-impl VRedOp {
-    fn mnemonic(self) -> &'static str {
-        match self {
-            VRedOp::Sum => "vredsum.vs",
-            VRedOp::And => "vredand.vs",
-            VRedOp::Or => "vredor.vs",
-            VRedOp::Xor => "vredxor.vs",
-            VRedOp::Minu => "vredminu.vs",
-            VRedOp::Min => "vredmin.vs",
-            VRedOp::Maxu => "vredmaxu.vs",
-            VRedOp::Max => "vredmax.vs",
-        }
-    }
 }
 
 /// One instruction of the modelled RV64IM + RVV subset.
@@ -728,303 +607,9 @@ pub enum Instr {
 
 impl Instr {
     /// Is this instruction a member of the vector extension (as opposed to
-    /// the scalar base ISA)?
+    /// the scalar base ISA)? True for the vector major opcodes.
     pub const fn is_vector(&self) -> bool {
-        !matches!(
-            self,
-            Instr::Lui { .. }
-                | Instr::Auipc { .. }
-                | Instr::Jal { .. }
-                | Instr::Jalr { .. }
-                | Instr::Branch { .. }
-                | Instr::Load { .. }
-                | Instr::Store { .. }
-                | Instr::OpImm { .. }
-                | Instr::Op { .. }
-                | Instr::Csrr { .. }
-                | Instr::Ecall
-                | Instr::Ebreak
-        )
-    }
-}
-
-fn vm_suffix(vm: bool) -> &'static str {
-    if vm {
-        ""
-    } else {
-        ", v0.t"
-    }
-}
-
-impl fmt::Display for Instr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use Instr::*;
-        match *self {
-            Lui { rd, imm20 } => write!(f, "lui {rd}, {imm20:#x}"),
-            Auipc { rd, imm20 } => write!(f, "auipc {rd}, {imm20:#x}"),
-            Jal { rd, offset } => write!(f, "jal {rd}, {offset}"),
-            Jalr { rd, rs1, offset } => write!(f, "jalr {rd}, {offset}({rs1})"),
-            Branch {
-                cond,
-                rs1,
-                rs2,
-                offset,
-            } => {
-                write!(f, "{} {rs1}, {rs2}, {offset}", cond.mnemonic())
-            }
-            Load {
-                width,
-                signed,
-                rd,
-                rs1,
-                offset,
-            } => {
-                let m = match (width, signed) {
-                    (MemWidth::B, true) => "lb",
-                    (MemWidth::B, false) => "lbu",
-                    (MemWidth::H, true) => "lh",
-                    (MemWidth::H, false) => "lhu",
-                    (MemWidth::W, true) => "lw",
-                    (MemWidth::W, false) => "lwu",
-                    (MemWidth::D, _) => "ld",
-                };
-                write!(f, "{m} {rd}, {offset}({rs1})")
-            }
-            Store {
-                width,
-                rs2,
-                rs1,
-                offset,
-            } => {
-                let m = match width {
-                    MemWidth::B => "sb",
-                    MemWidth::H => "sh",
-                    MemWidth::W => "sw",
-                    MemWidth::D => "sd",
-                };
-                write!(f, "{m} {rs2}, {offset}({rs1})")
-            }
-            OpImm {
-                op: AluOp::Sltu,
-                rd,
-                rs1,
-                imm,
-            } => write!(f, "sltiu {rd}, {rs1}, {imm}"),
-            OpImm { op, rd, rs1, imm } => write!(f, "{}i {rd}, {rs1}, {imm}", op.mnemonic()),
-            Op { op, rd, rs1, rs2 } => write!(f, "{} {rd}, {rs1}, {rs2}", op.mnemonic()),
-            Csrr { rd, csr } => write!(f, "csrr {rd}, {}", csr.name()),
-            Ecall => write!(f, "ecall"),
-            Ebreak => write!(f, "ebreak"),
-            Vsetvli { rd, rs1, vtype } => write!(f, "vsetvli {rd}, {rs1}, {vtype}"),
-            Vsetivli { rd, uimm, vtype } => write!(f, "vsetivli {rd}, {uimm}, {vtype}"),
-            Vsetvl { rd, rs1, rs2 } => write!(f, "vsetvl {rd}, {rs1}, {rs2}"),
-            VLoad { eew, vd, rs1, vm } => {
-                write!(f, "vle{}.v {vd}, ({rs1}){}", eew.bits(), vm_suffix(vm))
-            }
-            VStore { eew, vs3, rs1, vm } => {
-                write!(f, "vse{}.v {vs3}, ({rs1}){}", eew.bits(), vm_suffix(vm))
-            }
-            VLoadStrided {
-                eew,
-                vd,
-                rs1,
-                rs2,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "vlse{}.v {vd}, ({rs1}), {rs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VStoreStrided {
-                eew,
-                vs3,
-                rs1,
-                rs2,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "vsse{}.v {vs3}, ({rs1}), {rs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VLoadIndexed {
-                eew,
-                ordered,
-                vd,
-                rs1,
-                vs2,
-                vm,
-            } => {
-                let o = if ordered { "o" } else { "u" };
-                write!(
-                    f,
-                    "vl{o}xei{}.v {vd}, ({rs1}), {vs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VStoreIndexed {
-                eew,
-                ordered,
-                vs3,
-                rs1,
-                vs2,
-                vm,
-            } => {
-                let o = if ordered { "o" } else { "u" };
-                write!(
-                    f,
-                    "vs{o}xei{}.v {vs3}, ({rs1}), {vs2}{}",
-                    eew.bits(),
-                    vm_suffix(vm)
-                )
-            }
-            VLoadWhole { nregs, vd, rs1 } => write!(f, "vl{nregs}re8.v {vd}, ({rs1})"),
-            VStoreWhole { nregs, vs3, rs1 } => write!(f, "vs{nregs}r.v {vs3}, ({rs1})"),
-            VLoadMask { vd, rs1 } => write!(f, "vlm.v {vd}, ({rs1})"),
-            VStoreMask { vs3, rs1 } => write!(f, "vsm.v {vs3}, ({rs1})"),
-            VOpVV {
-                op,
-                vd,
-                vs2,
-                vs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {vs1}{}",
-                    op.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VOpVX {
-                op,
-                vd,
-                vs2,
-                rs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vx {vd}, {vs2}, {rs1}{}",
-                    op.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VOpVI {
-                op,
-                vd,
-                vs2,
-                imm,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vi {vd}, {vs2}, {imm}{}",
-                    op.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VCmpVV {
-                cond,
-                vd,
-                vs2,
-                vs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vv {vd}, {vs2}, {vs1}{}",
-                    cond.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VCmpVX {
-                cond,
-                vd,
-                vs2,
-                rs1,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vx {vd}, {vs2}, {rs1}{}",
-                    cond.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VCmpVI {
-                cond,
-                vd,
-                vs2,
-                imm,
-                vm,
-            } => {
-                write!(
-                    f,
-                    "{}.vi {vd}, {vs2}, {imm}{}",
-                    cond.mnemonic(),
-                    vm_suffix(vm)
-                )
-            }
-            VMergeVVM { vd, vs2, vs1 } => write!(f, "vmerge.vvm {vd}, {vs2}, {vs1}, v0"),
-            VMergeVXM { vd, vs2, rs1 } => write!(f, "vmerge.vxm {vd}, {vs2}, {rs1}, v0"),
-            VMergeVIM { vd, vs2, imm } => write!(f, "vmerge.vim {vd}, {vs2}, {imm}, v0"),
-            VMvVV { vd, vs1 } => write!(f, "vmv.v.v {vd}, {vs1}"),
-            VMvVX { vd, rs1 } => write!(f, "vmv.v.x {vd}, {rs1}"),
-            VMvVI { vd, imm } => write!(f, "vmv.v.i {vd}, {imm}"),
-            VMvSX { vd, rs1 } => write!(f, "vmv.s.x {vd}, {rs1}"),
-            VMvXS { rd, vs2 } => write!(f, "vmv.x.s {rd}, {vs2}"),
-            VSlideUpVX { vd, vs2, rs1, vm } => {
-                write!(f, "vslideup.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VSlideUpVI { vd, vs2, uimm, vm } => {
-                write!(f, "vslideup.vi {vd}, {vs2}, {uimm}{}", vm_suffix(vm))
-            }
-            VSlideDownVX { vd, vs2, rs1, vm } => {
-                write!(f, "vslidedown.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VSlideDownVI { vd, vs2, uimm, vm } => {
-                write!(f, "vslidedown.vi {vd}, {vs2}, {uimm}{}", vm_suffix(vm))
-            }
-            VSlide1Up { vd, vs2, rs1, vm } => {
-                write!(f, "vslide1up.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VSlide1Down { vd, vs2, rs1, vm } => {
-                write!(f, "vslide1down.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VRGatherVV { vd, vs2, vs1, vm } => {
-                write!(f, "vrgather.vv {vd}, {vs2}, {vs1}{}", vm_suffix(vm))
-            }
-            VRGatherVX { vd, vs2, rs1, vm } => {
-                write!(f, "vrgather.vx {vd}, {vs2}, {rs1}{}", vm_suffix(vm))
-            }
-            VCompress { vd, vs2, vs1 } => write!(f, "vcompress.vm {vd}, {vs2}, {vs1}"),
-            VMaskLogic { op, vd, vs2, vs1 } => {
-                write!(f, "{} {vd}, {vs2}, {vs1}", op.mnemonic())
-            }
-            VIota { vd, vs2, vm } => write!(f, "viota.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VId { vd, vm } => write!(f, "vid.v {vd}{}", vm_suffix(vm)),
-            VCpop { rd, vs2, vm } => write!(f, "vcpop.m {rd}, {vs2}{}", vm_suffix(vm)),
-            VFirst { rd, vs2, vm } => write!(f, "vfirst.m {rd}, {vs2}{}", vm_suffix(vm)),
-            VMsbf { vd, vs2, vm } => write!(f, "vmsbf.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VMsif { vd, vs2, vm } => write!(f, "vmsif.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VMsof { vd, vs2, vm } => write!(f, "vmsof.m {vd}, {vs2}{}", vm_suffix(vm)),
-            VRed {
-                op,
-                vd,
-                vs2,
-                vs1,
-                vm,
-            } => {
-                write!(f, "{} {vd}, {vs2}, {vs1}{}", op.mnemonic(), vm_suffix(vm))
-            }
-        }
+        table::is_vector(self)
     }
 }
 

@@ -45,7 +45,10 @@ mod config;
 mod decode;
 mod encode;
 mod instr;
+mod operand;
 mod reg;
+mod table;
+mod text;
 
 pub use class::InstrClass;
 pub use config::{KernelConfig, Lmul, Sew, VType};
@@ -53,6 +56,7 @@ pub use decode::{decode, DecodeError};
 pub use encode::{encode, EncodeError};
 pub use instr::{AluOp, BranchCond, Instr, MaskOp, MemWidth, VAluOp, VCmp, VCsr, VRedOp};
 pub use reg::{VReg, XReg};
+pub use text::ParseInstrError;
 
 /// Convenience result alias for encoding.
 pub type EncodeResult = Result<u32, EncodeError>;
