@@ -46,6 +46,7 @@ impl InstrClass {
     ];
 
     /// Classify an instruction: the class of its variant's table rows.
+    #[inline]
     pub const fn of(instr: &Instr) -> InstrClass {
         crate::table::class_of(instr)
     }

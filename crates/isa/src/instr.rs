@@ -54,6 +54,7 @@ pub enum AluOp {
 
 impl AluOp {
     const IMM: [Option<usize>; AluOp::Remu as usize + 1] = table::rows_of("OpImm");
+    const SHIFT: [bool; AluOp::Remu as usize + 1] = table::takes(Self::IMM, Kind::Shamt);
 
     /// Does an `OP-IMM` (`*i`) form of this operation exist in RV64I?
     pub const fn has_imm_form(self) -> bool {
@@ -62,7 +63,7 @@ impl AluOp {
 
     /// Is this a shift (immediate operand is a 6-bit shamt on RV64)?
     pub const fn is_shift(self) -> bool {
-        table::has_operand(Self::IMM[self as usize], Kind::Shamt)
+        Self::SHIFT[self as usize]
     }
 }
 
@@ -204,10 +205,12 @@ impl VAluOp {
     const VV: [Option<usize>; VAluOp::Rem as usize + 1] = table::rows_of("VOpVV");
     const VX: [Option<usize>; VAluOp::Rem as usize + 1] = table::rows_of("VOpVX");
     const VI: [Option<usize>; VAluOp::Rem as usize + 1] = table::rows_of("VOpVI");
+    const OPM: [bool; VAluOp::Rem as usize + 1] = table::under_opm(Self::VV);
+    const UNSIGNED: [bool; VAluOp::Rem as usize + 1] = table::takes(Self::VI, Kind::Uimm5);
 
     /// Operations encoded under the `OPM*` funct3 space (multiply/divide).
     pub const fn is_opm(self) -> bool {
-        table::is_opm(Self::VV[self as usize])
+        Self::OPM[self as usize]
     }
 
     /// Does a `.vv` form exist?
@@ -226,8 +229,9 @@ impl VAluOp {
     }
 
     /// Do the shift-style instructions interpret the immediate as unsigned?
+    #[inline]
     pub const fn imm_is_unsigned(self) -> bool {
-        table::has_operand(Self::VI[self as usize], Kind::Uimm5)
+        Self::UNSIGNED[self as usize]
     }
 }
 
@@ -608,6 +612,7 @@ pub enum Instr {
 impl Instr {
     /// Is this instruction a member of the vector extension (as opposed to
     /// the scalar base ISA)? True for the vector major opcodes.
+    #[inline]
     pub const fn is_vector(&self) -> bool {
         table::is_vector(self)
     }

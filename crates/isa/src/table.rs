@@ -160,6 +160,7 @@ macro_rules! instructions {
 
         /// The class of a variant's rows (they share one; unit tested).
         #[allow(unreachable_patterns)]
+        #[inline]
         pub(crate) const fn class_of(i: &Instr) -> InstrClass {
             match i {
                 $(Instr::$variant { .. } => InstrClass::$class,)*
@@ -168,6 +169,7 @@ macro_rules! instructions {
 
         /// Is the variant encoded under a vector major opcode?
         #[allow(unreachable_patterns)]
+        #[inline]
         pub(crate) const fn is_vector(i: &Instr) -> bool {
             match i {
                 $(Instr::$variant { .. } => const { is_vector_opcode($enc.bits) },)*
@@ -387,7 +389,8 @@ const fn position(mnemonic: &str) -> usize {
 }
 
 const fn is_vector_opcode(bits: u32) -> bool {
-    matches!(bits & 0x7f, 0b1010111 | 0b0000111 | 0b0100111)
+    let op = bits & 0x7f;
+    op == OP_V.bits || op == LOAD_FP.bits || op == STORE_FP.bits
 }
 
 /// For each major opcode, the range of its rows in [`ROWS`].
@@ -445,26 +448,35 @@ pub(crate) const fn rows_of<const N: usize>(variant: &str) -> [Option<usize>; N]
     t
 }
 
-/// Does row `row` exist under the `OPMVV` funct3 space?
-pub(crate) const fn is_opm(row: Option<usize>) -> bool {
-    match row {
-        Some(r) => ROWS[r].bits & OPMVV.mask == OPMVV.bits,
-        None => false,
+/// For each selector, does its row exist under the `OPMVV` funct3 space?
+pub(crate) const fn under_opm<const N: usize>(rows: [Option<usize>; N]) -> [bool; N] {
+    let mut t = [false; N];
+    let mut s = 0;
+    while s < N {
+        if let Some(r) = rows[s] {
+            t[s] = ROWS[r].bits & OPMVV.mask == OPMVV.bits;
+        }
+        s += 1;
     }
+    t
 }
 
-/// Does row `row` exist and take an operand of this kind?
-pub(crate) const fn has_operand(row: Option<usize>, kind: Kind) -> bool {
-    let Some(r) = row else { return false };
-    let ops = ROWS[r].operands;
-    let mut i = 0;
-    while i < ops.len() {
-        if ops[i] as u8 == kind as u8 {
-            return true;
+/// For each selector, does its row exist and take an operand of this kind?
+pub(crate) const fn takes<const N: usize>(rows: [Option<usize>; N], kind: Kind) -> [bool; N] {
+    let mut t = [false; N];
+    let mut s = 0;
+    while s < N {
+        if let Some(r) = rows[s] {
+            let ops = ROWS[r].operands;
+            let mut i = 0;
+            while i < ops.len() {
+                t[s] |= ops[i] as u8 == kind as u8;
+                i += 1;
+            }
         }
-        i += 1;
+        s += 1;
     }
-    false
+    t
 }
 
 #[cfg(test)]
