@@ -100,8 +100,9 @@ pub(crate) struct Row {
     pub(crate) mnemonic: &'static str,
     pub(crate) bits: u32,
     pub(crate) mask: u32,
-    /// Read by `class_of`, generated from the same row; kept here for the
-    /// test that rows of one variant agree.
+    /// The row's class. `class_of` is generated from the same macro input
+    /// per variant; this copy exists for the test that a variant's rows
+    /// agree.
     #[cfg(test)]
     class: InstrClass,
     /// The `Instr` variant's name, and the selector values (`as u8`) the
