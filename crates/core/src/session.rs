@@ -397,20 +397,35 @@ impl Session {
     ///
     /// The snapshot's configuration must equal this session's — a
     /// snapshot taken at one `(VLEN, LMUL, spill profile, mem_bytes)` is
-    /// meaningless under another, so a mismatch is refused with
-    /// [`ScanError::Snapshot`] before anything is modified. On success the
-    /// machine, heap position, run-loop tier selection, and poison flag
-    /// are exactly as captured; tracer and fault hook are detached and
-    /// the fuel budget is re-armed to the engine's default — disarmed for
-    /// a default engine (see [`Session::snapshot`]). Cached plans are
-    /// untouched — they are keyed by configuration and recompile on
-    /// demand, so a fresh process restoring a snapshot simply warms its
-    /// cache as the resumed run launches kernels.
+    /// meaningless under another — and so must the shape of the machine
+    /// it carries (VLEN, register-file length, memory size), which a
+    /// decoded frame does not tie to its configuration. A mismatch is
+    /// refused with [`ScanError::Snapshot`] before anything is modified.
+    /// On success the machine, heap position, run-loop tier selection,
+    /// and poison flag are exactly as captured; tracer and fault hook are
+    /// detached and the fuel budget is re-armed to the engine's default —
+    /// disarmed for a default engine (see [`Session::snapshot`]). Cached
+    /// plans are untouched — they are keyed by configuration and
+    /// recompile on demand, so a fresh process restoring a snapshot
+    /// simply warms its cache as the resumed run launches kernels.
     pub fn restore(&mut self, snap: &EnvSnapshot) -> ScanResult<()> {
         if snap.cfg != self.cfg {
             return Err(ScanError::Snapshot(format!(
                 "config mismatch: snapshot {:?}, session {:?}",
                 snap.cfg, self.cfg
+            )));
+        }
+        let m = &snap.machine;
+        let ours = (
+            self.machine.vlen(),
+            32 * self.machine.vlenb() as usize,
+            self.machine.mem.size(),
+        );
+        if (m.vlen, m.vregs.len(), m.mem.size) != ours {
+            return Err(ScanError::Snapshot(format!(
+                "machine shape mismatch: snapshot (VLEN, register bytes, memory bytes) = \
+                 {:?}, session {ours:?}",
+                (m.vlen, m.vregs.len(), m.mem.size)
             )));
         }
         self.machine.restore(&snap.machine);

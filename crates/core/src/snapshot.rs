@@ -135,7 +135,9 @@ impl EnvSnapshot {
         };
         let poisoned = r.get_bool()?;
         let n_keys = r.get_u32()?;
-        let mut plan_keys = Vec::with_capacity(n_keys as usize);
+        // Grown as keys decode: the count is untrusted, so it is never
+        // reserved up front.
+        let mut plan_keys = Vec::new();
         for _ in 0..n_keys {
             plan_keys.push(r.get_str()?.to_string());
         }

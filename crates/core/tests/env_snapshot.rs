@@ -5,10 +5,15 @@
 //! pre-launch state.
 
 use rvv_asm::SpillProfile;
+use rvv_ckpt::{open, seal};
 use rvv_isa::{Lmul, Sew};
+use rvv_sim::PAGE_BYTES;
 use scanvec::primitives::{p_add, plus_scan};
 use scanvec::{EnvConfig, ScanEnv};
 use scanvec::{EnvSnapshot, ExecEngine, ScanError};
+
+/// The frame kind an environment snapshot is sealed under.
+const FRAME_KIND: &str = "rvv-env-snapshot";
 
 fn small_cfg() -> EnvConfig {
     EnvConfig {
@@ -108,6 +113,50 @@ fn corrupt_or_mismatched_snapshots_are_refused() {
     let err = other.restore(&snap).unwrap_err();
     assert!(matches!(err, ScanError::Snapshot(_)));
     assert!(err.to_string().contains("config mismatch"), "{err}");
+
+    // A frame anyone can seal passes the digest check. A plan-key count
+    // of u32::MAX runs out of payload instead of reserving 96 GiB.
+    let mut keyless = snap.clone();
+    keyless.plan_keys.clear();
+    let mut payload = open(FRAME_KIND, 1, &keyless.to_bytes()).unwrap().to_vec();
+    payload[24..28].copy_from_slice(&u32::MAX.to_le_bytes()); // the key count
+    assert!(EnvSnapshot::from_bytes(&seal(FRAME_KIND, 1, &payload)).is_err());
+
+    // A machine page past the end of memory is refused at decode.
+    let mut past_end = snap.clone();
+    let pages = small_cfg().mem_bytes as u64 / PAGE_BYTES;
+    past_end
+        .machine
+        .mem
+        .pages
+        .push((pages, vec![1].into_boxed_slice()));
+    assert!(matches!(
+        EnvSnapshot::from_bytes(&past_end.to_bytes()),
+        Err(ScanError::Snapshot(_))
+    ));
+
+    // A frame whose machine disagrees with its own configuration decodes,
+    // but restore refuses it before it changes anything.
+    let mut target = ScanEnv::new(small_cfg());
+    target.from_u32(&[9; 4]).unwrap();
+    let before = target.snapshot();
+    for shape in [
+        EnvConfig {
+            vlen: 512,
+            ..small_cfg()
+        },
+        EnvConfig {
+            mem_bytes: 4 << 20,
+            ..small_cfg()
+        },
+    ] {
+        let mut mixed = snap.clone();
+        mixed.machine = ScanEnv::new(shape).snapshot().machine;
+        let mixed = EnvSnapshot::from_bytes(&mixed.to_bytes()).unwrap();
+        let err = target.restore(&mixed).unwrap_err();
+        assert!(err.to_string().contains("machine shape mismatch"), "{err}");
+        assert_eq!(target.snapshot(), before, "{shape:?}");
+    }
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //! plans (plans are pure functions of the program).
 
 use crate::counters::Counters;
-use crate::memory::MemSnapshot;
+use crate::memory::{MemSnapshot, PAGE_BYTES};
 use rvv_ckpt::{open, seal, ByteReader, ByteWriter, CodecError};
 use rvv_isa::{InstrClass, Lmul, Sew, VType};
 
@@ -117,21 +117,39 @@ fn put_mem(w: &mut ByteWriter, m: &MemSnapshot) {
     }
 }
 
+// Counts come off the wire, so the vectors grow as items actually
+// decode: a count larger than the payload ends in `Truncated`, never in
+// a huge up-front allocation.
 fn get_mem(r: &mut ByteReader<'_>) -> Result<MemSnapshot, CodecError> {
     let size = r.get_u64()?;
     let nguards = r.get_u32()?;
-    let mut guards = Vec::with_capacity(nguards as usize);
+    let mut guards = Vec::new();
     for _ in 0..nguards {
         let start = r.get_u64()?;
         let end = r.get_u64()?;
         guards.push(start..end);
     }
     let npages = r.get_u32()?;
-    let mut pages = Vec::with_capacity(npages as usize);
+    let mut pages = Vec::new();
     for _ in 0..npages {
         let p = r.get_u64()?;
-        let data = r.get_bytes()?.to_vec().into_boxed_slice();
-        pages.push((p, data));
+        let data = r.get_bytes()?;
+        // The page must lie inside the memory, so restore never slices
+        // past its end.
+        let start = p
+            .checked_mul(PAGE_BYTES)
+            .filter(|&start| start < size)
+            .ok_or(CodecError::BadValue {
+                what: "snapshot page index",
+                value: p,
+            })?;
+        if data.len() as u64 > (size - start).min(PAGE_BYTES) {
+            return Err(CodecError::BadValue {
+                what: "snapshot page length",
+                value: data.len() as u64,
+            });
+        }
+        pages.push((p, data.to_vec().into_boxed_slice()));
     }
     Ok(MemSnapshot {
         size,
@@ -189,7 +207,8 @@ impl MachineSnapshot {
     }
 
     /// Deserialize a frame produced by [`MachineSnapshot::to_bytes`],
-    /// rejecting wrong kinds, wrong versions, and corrupt payloads.
+    /// rejecting wrong kinds, wrong versions, corrupt payloads, and pages
+    /// that do not fit inside the snapshot's memory size.
     pub fn from_bytes(bytes: &[u8]) -> Result<MachineSnapshot, CodecError> {
         let payload = open(FRAME_KIND, FRAME_VERSION, bytes)?;
         let mut r = ByteReader::new(payload);

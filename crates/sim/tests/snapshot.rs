@@ -5,11 +5,15 @@
 //! uninterrupted run (same outputs, same retired counts, same trap text).
 
 use proptest::prelude::*;
+use rvv_ckpt::{open, seal, CodecError};
 use rvv_isa::{AluOp, Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
 use rvv_sim::{
     CompiledPlan, Machine, MachineConfig, MachineSnapshot, Memory, Program, SimError, DEFAULT_FUEL,
     PAGE_BYTES,
 };
+
+/// The frame kind a machine snapshot is sealed under.
+const FRAME_KIND: &str = "rvv-machine-snapshot";
 
 fn machine() -> Machine {
     Machine::new(MachineConfig {
@@ -162,6 +166,38 @@ fn machine_snapshot_serialization_round_trips_and_rejects_corruption() {
         assert!(MachineSnapshot::from_bytes(&bad).is_err(), "byte {i}");
     }
     assert!(MachineSnapshot::from_bytes(&bytes[..bytes.len() - 1]).is_err());
+
+    // A frame anyone can seal passes the digest check, so the decoder
+    // itself must refuse what it cannot hold. A guard or page count of
+    // u32::MAX runs out of payload instead of reserving 64+ GiB.
+    let mut bare = snap.clone();
+    bare.mem.guards.clear();
+    bare.mem.pages.clear();
+    let payload = open(FRAME_KIND, 1, &bare.to_bytes()).unwrap().to_vec();
+    for count_from_end in [8, 4] {
+        let mut huge = payload.clone();
+        let at = huge.len() - count_from_end;
+        huge[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(
+            matches!(
+                MachineSnapshot::from_bytes(&seal(FRAME_KIND, 1, &huge)),
+                Err(CodecError::Truncated { .. })
+            ),
+            "count {count_from_end} bytes from the end"
+        );
+    }
+    // Pages past the end of the 16-page memory, or longer than a page.
+    for (page, len) in [(16, 1), (u64::MAX, 1), (0, PAGE_BYTES as usize + 1)] {
+        let mut bad = snap.clone();
+        bad.mem.pages.push((page, vec![7; len].into_boxed_slice()));
+        assert!(
+            matches!(
+                MachineSnapshot::from_bytes(&bad.to_bytes()),
+                Err(CodecError::BadValue { .. })
+            ),
+            "page {page} of {len} bytes"
+        );
+    }
 }
 
 #[test]
