@@ -20,7 +20,7 @@ use rvv_batch::{BatchJob, BatchRunner, Engine, JobOutcome};
 use rvv_fault::chaos::{chaos_config, run_algo, ChaosAlgo, CHAOS_FUEL};
 use rvv_fault::{ArmedFaults, FaultPlan};
 use scanvec::{ScanEnv, HEAP_BASE};
-use scanvec_bench::{inject_seed_arg, threads_arg};
+use scanvec_bench::{num_arg, threads_arg};
 use std::sync::Arc;
 
 /// Default fault seed: the chaos suite's, so CI exercises a fixed grid.
@@ -62,7 +62,7 @@ fn scenario_jobs(seed: u64) -> Vec<BatchJob<String>> {
 }
 
 fn main() {
-    let seed = inject_seed_arg().unwrap_or(DEFAULT_SEED);
+    let seed = num_arg("--inject-seed").unwrap_or(DEFAULT_SEED);
     let max_threads = threads_arg();
     let total = ChaosAlgo::ALL.len() as u64 * PER_ALGO;
     println!("fault ablation: seed={seed:#x}, {total} scenarios, 8 algorithms");

@@ -46,8 +46,8 @@ use rvv_fault::{ArmedFaults, CrashPoint, FaultPlan};
 use scanvec::HEAP_BASE;
 use scanvec_bench::sweep::{decode_sweep, sweep_jobs, Measurement, SweepShape};
 use scanvec_bench::{
-    cost_preset_arg, exec_engine_arg, experiments, flag_arg, fmt_ratio, fmt_speedup,
-    inject_seed_arg, num_arg, print_table, threads_arg,
+    cost_preset_arg, exec_engine_arg, experiments, flag_arg, fmt_ratio, fmt_speedup, num_arg,
+    print_table, threads_arg,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -246,7 +246,7 @@ fn journal_main(
 fn main() {
     let threads = threads_arg();
     let keep_going = flag_arg("--keep-going");
-    let inject_seed = inject_seed_arg();
+    let inject_seed = num_arg("--inject-seed");
     let cost = cost_preset_arg();
     let shape = SweepShape::from_args();
     let wall = std::time::Instant::now();

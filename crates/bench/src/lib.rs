@@ -110,25 +110,6 @@ pub fn threads_arg() -> usize {
     1
 }
 
-/// Parse `--inject-seed <S>` from the command line (decimal or `0x…` hex):
-/// the fault-injection seed for a chaos-hardened sweep. `None` when absent
-/// (no injection).
-pub fn inject_seed_arg() -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--inject-seed" {
-            let t = &w[1];
-            let parsed = if let Some(hex) = t.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                t.parse()
-            };
-            return Some(parsed.expect("--inject-seed takes an integer"));
-        }
-    }
-    None
-}
-
 /// Parse `--cost-preset <name>` from the command line: the cycle-model
 /// preset (`unit`, `ara-like`, `vitruvius-like`) to attach to the sweep's
 /// jobs. `None` when absent — cost modeling is strictly opt-in, so the

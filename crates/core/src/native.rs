@@ -3,8 +3,7 @@
 //! These functions define the intended semantics of the simulated kernels:
 //! property tests assert `simulated == native` across random inputs, VLENs,
 //! and LMULs. They are also a perfectly usable host-side scan library in
-//! their own right (the Criterion benches measure them for wall-clock
-//! numbers, complementing the instruction-count experiments).
+//! their own right.
 //!
 //! All functions operate on `u64` element values truncated to a [`Sew`],
 //! mirroring exactly what the vector unit does; `u32` conveniences are

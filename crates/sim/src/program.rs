@@ -148,8 +148,8 @@ impl Machine {
     /// The reference interpreter: decode-classify-dispatch every step, no
     /// pre-compiled plan. Kept as the semantic baseline — the differential
     /// tests assert that [`Machine::run_plan`] is architecturally
-    /// indistinguishable from this loop, and the host-throughput harness
-    /// measures both in one process.
+    /// indistinguishable from this loop, and the repository benchmark
+    /// (`perfbench/`) times it next to the other two tiers.
     ///
     /// Runs from byte address `start_pc` until `ecall`, a trap, or `fuel`
     /// retired instructions, under `hooks` (`&mut ()` for none; see
