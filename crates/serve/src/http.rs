@@ -44,23 +44,26 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
     stream.set_read_timeout(Some(IO_TIMEOUT))?;
     stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut head = String::new();
-    let mut line = String::new();
+    let mut head = Vec::new();
     loop {
-        line.clear();
-        let n = reader.read_line(&mut line)?;
-        if n == 0 {
+        // Read at most one byte past the cap, so a line that never ends
+        // is refused at the cap instead of buffered until the peer stops.
+        let start = head.len();
+        let room = (MAX_HEAD_BYTES + 1 - start) as u64;
+        if reader.by_ref().take(room).read_until(b'\n', &mut head)? == 0 {
             // Peer closed before a full head: nothing to answer.
             return Ok(None);
         }
-        if head.len() + line.len() > MAX_HEAD_BYTES {
+        if head.len() > MAX_HEAD_BYTES {
             return refuse(stream, &mut reader, 431, "request head too large\n");
         }
-        if line == "\r\n" || line == "\n" {
+        if matches!(&head[start..], b"\r\n" | b"\n") {
             break;
         }
-        head.push_str(&line);
     }
+    let Ok(head) = String::from_utf8(head) else {
+        return refuse(stream, &mut reader, 400, "request head must be utf-8\n");
+    };
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_ascii_whitespace();
@@ -264,6 +267,29 @@ mod tests {
         let (status, _) = request(&addr, "POST", "/jobs", &big).unwrap();
         assert_eq!(status, 413);
         handle.join().unwrap();
+    }
+
+    /// Send `raw` as the whole request and return the reply's status line.
+    fn raw_exchange(raw: &[u8]) -> String {
+        let (addr, handle) = echo_server();
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        stream.write_all(raw).unwrap();
+        let mut reply = String::new();
+        BufReader::new(stream).read_line(&mut reply).unwrap();
+        handle.join().unwrap();
+        reply
+    }
+
+    #[test]
+    fn unterminated_head_lines_are_refused_at_the_cap() {
+        let reply = raw_exchange(&[b'a'; 64 * 1024]);
+        assert!(reply.contains("431"), "{reply:?}");
+    }
+
+    #[test]
+    fn non_utf8_heads_get_400() {
+        let reply = raw_exchange(b"GET /\xff HTTP/1.1\r\n\r\n");
+        assert!(reply.contains("400"), "{reply:?}");
     }
 
     #[test]
