@@ -8,23 +8,29 @@
 //!
 //! ## File format
 //!
-//! The journal rides on `rvv-ckpt`'s record layer: length-prefixed,
-//! FNV-1a-checksummed records with a torn-tail-tolerant reader (a record
-//! half-written at the kill point is detected and dropped, never half-
-//! applied). Record 0 is the **header** — a sealed frame binding the
-//! journal to its job list (count + a digest over every job's name,
-//! configuration, and weight). Resume refuses a journal whose header does
+//! A batch journal is a durable queue ([`QueueJournal`]), the same
+//! `rvv-queue-journal` format the sweep service writes, so salvage,
+//! torn-tail truncation and `rvv-doctor` verdicts are one code path for
+//! both. The queue tag `rvv-batch/v3 jobs=<n> digest=<fnv1a>` binds the
+//! journal to its job list (a digest over every job's name,
+//! configuration, and weight); resume refuses a journal whose tag does
 //! not match the jobs being resumed: a journal is a claim about *one*
 //! specific sweep.
 //!
-//! Every data record carries one completed job: its index, name, attempt
-//! bookkeeping, per-class counters, the stable outcome text, and — for
-//! successful jobs — the measurement payload itself, encoded via
-//! [`JournalPayload`]. Successful jobs therefore replay as real
-//! [`JobOutcome::Ok`] values (decoders like table folding keep working on
-//! a resumed run); failures replay as [`JobOutcome::Replayed`] carrying
-//! their stable text verbatim, so manifests and digests survive the
-//! crash/resume boundary byte-for-byte.
+//! A fresh run submits every job up front in one batch (id = job index,
+//! payload = job name). Each completed job then appends a done record
+//! for its index carrying its attempt bookkeeping, per-class counters,
+//! the stable outcome text, and — for successful jobs — the measurement
+//! payload itself, encoded via [`JournalPayload`]. Successful jobs
+//! therefore replay as real [`JobOutcome::Ok`] values (decoders like
+//! table folding keep working on a resumed run); failures replay as
+//! [`JobOutcome::Replayed`] carrying their stable text verbatim, so
+//! manifests and digests survive the crash/resume boundary byte-for-byte.
+//!
+//! A kill inside the submit batch leaves a prefix of it. On resume, a job
+//! that is neither pending nor completed lost its submit record that way
+//! and is submitted again before anything runs: its done record would
+//! otherwise be an orphan, which the next resume refuses.
 //!
 //! ## What is deliberately not journaled
 //!
@@ -36,23 +42,16 @@
 
 use crate::job::{BatchJob, BatchResult, JobOutcome, JobReport};
 use crate::runner::{assemble, BatchRunner};
-use rvv_ckpt::{
-    fnv1a, open, read_journal, seal, ByteReader, ByteWriter, CodecError, JournalWriter,
-};
+use rvv_ckpt::queue::QueueJournal;
+use rvv_ckpt::{fnv1a, ByteReader, ByteWriter, CodecError};
 use rvv_cost::CycleCounters;
 use rvv_sim::Counters;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-
-/// Frame kind for the journal header record.
-const HEADER_KIND: &str = "rvv-batch-journal";
-/// Bump on any incompatible change to the header or record layout.
-/// v2: records carry an optional cycle-estimate block (costed sweeps).
-const HEADER_VERSION: u16 = 2;
 
 /// A measurement type that can ride in a journal record. Implementations
 /// must round-trip exactly: `decode(encode(x)) == x`, including through
@@ -77,10 +76,10 @@ impl JournalPayload for u64 {
 /// Options for [`run_journaled`].
 #[derive(Debug, Clone, Copy)]
 pub struct JournalOptions {
-    /// `fsync` the journal after every N data records (0 = never fsync;
-    /// the OS page cache still makes records durable against process
-    /// death, just not against machine crash). The header record is
-    /// always fsynced.
+    /// `fsync` the journal after every N records (0 = never fsync; the
+    /// OS page cache still makes records durable against process death,
+    /// just not against machine crash). The header record is always
+    /// fsynced; the up-front submit batch counts as one record per job.
     pub fsync_every: u32,
     /// Resume from an existing journal at the path (replaying completed
     /// records and running the remainder) instead of starting fresh. With
@@ -88,7 +87,7 @@ pub struct JournalOptions {
     pub resume: bool,
     /// Crash harness: abort the process (SIGABRT, no unwinding, no
     /// cleanup — the deterministic stand-in for `kill -9`) immediately
-    /// after this many data records have been appended *by this process*.
+    /// after this many done records have been appended *by this process*.
     /// `None` runs to completion.
     pub crash_after: Option<u64>,
 }
@@ -103,32 +102,32 @@ impl Default for JournalOptions {
     }
 }
 
-/// The header payload binding a journal to its job list: resume must be
+/// The queue tag binding a journal to its job list: resume must be
 /// handed the *same* sweep (names, configurations, weights, order).
 /// Thread count and fsync granularity are deliberately excluded — a
 /// journal written at `--threads 8` resumes fine at `--threads 1`.
-fn header_bytes<T>(jobs: &[BatchJob<T>]) -> Vec<u8> {
+fn queue_tag<T>(jobs: &[BatchJob<T>]) -> String {
     let mut digest_src = ByteWriter::new();
     for job in jobs {
         digest_src.put_str(&job.name);
         digest_src.put_str(&format!("{:?}", job.config));
         digest_src.put_u64(job.weight);
     }
-    let mut w = ByteWriter::new();
-    w.put_u64(jobs.len() as u64);
-    w.put_u64(fnv1a(&digest_src.into_bytes()));
-    seal(HEADER_KIND, HEADER_VERSION, &w.into_bytes())
+    format!(
+        "rvv-batch/v3 jobs={} digest={:#018x}",
+        jobs.len(),
+        fnv1a(&digest_src.into_bytes())
+    )
 }
 
 fn bad(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
-/// Encode one completed job as a journal record payload.
-fn encode_record<T: JournalPayload + fmt::Debug>(index: usize, report: &JobReport<T>) -> Vec<u8> {
+/// Encode one completed job as a done-record payload. The job's index is
+/// the queue id and its name is bound by the tag, so neither is stored.
+fn encode_record<T: JournalPayload + fmt::Debug>(report: &JobReport<T>) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(index as u64);
-    w.put_str(&report.name);
     w.put_u32(report.attempts);
     w.put_u32(report.poisoned);
     let counts: Vec<u64> = report.counters.iter().map(|(_, c)| c).collect();
@@ -160,11 +159,9 @@ fn encode_record<T: JournalPayload + fmt::Debug>(index: usize, report: &JobRepor
     w.into_bytes()
 }
 
-/// One decoded journal record: everything needed to rebuild the report
-/// once the job list supplies the configuration.
+/// One decoded done record: everything needed to rebuild the report
+/// once the job list supplies the name and configuration.
 struct Replayed<T> {
-    index: usize,
-    name: String,
     attempts: u32,
     poisoned: u32,
     counters: Counters,
@@ -175,8 +172,6 @@ struct Replayed<T> {
 
 fn decode_record<T: JournalPayload>(payload: &[u8]) -> Result<Replayed<T>, CodecError> {
     let mut r = ByteReader::new(payload);
-    let index = r.get_u64()? as usize;
-    let name = r.get_str()?.to_string();
     let attempts = r.get_u32()?;
     let poisoned = r.get_u32()?;
     let n = r.get_u32()? as usize;
@@ -209,8 +204,6 @@ fn decode_record<T: JournalPayload>(payload: &[u8]) -> Result<Replayed<T>, Codec
     };
     r.finish()?;
     Ok(Replayed {
-        index,
-        name,
         attempts,
         poisoned,
         counters,
@@ -221,13 +214,7 @@ fn decode_record<T: JournalPayload>(payload: &[u8]) -> Result<Replayed<T>, Codec
 }
 
 impl<T: fmt::Debug> Replayed<T> {
-    fn into_report(self, job: &BatchJob<T>) -> io::Result<JobReport<T>> {
-        if self.name != job.name {
-            return Err(bad(format!(
-                "journal record {} names `{}`, job list has `{}`",
-                self.index, self.name, job.name
-            )));
-        }
+    fn into_report(self, job: &BatchJob<T>) -> JobReport<T> {
         let outcome = match self.output {
             Some(v) => {
                 let replayed = JobOutcome::Ok(v);
@@ -240,8 +227,8 @@ impl<T: fmt::Debug> Replayed<T> {
             }
             None => JobOutcome::Replayed(self.stable),
         };
-        Ok(JobReport {
-            name: self.name,
+        JobReport {
+            name: job.name.clone(),
             config: job.config,
             outcome,
             attempts: self.attempts,
@@ -253,18 +240,19 @@ impl<T: fmt::Debug> Replayed<T> {
             worker: 0,
             wall: Duration::ZERO,
             backoff: Duration::ZERO,
-        })
+        }
     }
 }
 
 /// Run `jobs` under a write-ahead journal at `path`.
 ///
-/// Fresh runs (`resume: false`) write the header and then one record per
-/// completed job, as jobs complete. Resumed runs (`resume: true`) read
-/// the journal back (verifying the header against `jobs` and dropping a
-/// torn tail), replay every completed record, and run **only the
-/// remainder** — appending new records to the same journal, so a resumed
-/// run that crashes again resumes again.
+/// Fresh runs (`resume: false`) create the journal, submit every job, and
+/// then append one done record per completed job, as jobs complete.
+/// Resumed runs (`resume: true`) read the journal back (verifying its tag
+/// against `jobs`, salvaging around corrupt records and dropping a torn
+/// tail), replay every completed job, and run **only the remainder** —
+/// appending to the same journal, so a resumed run that crashes again
+/// resumes again.
 ///
 /// The returned [`BatchResult`] is in job order and its
 /// [`BatchResult::stable_digest`] is byte-identical to an uninterrupted
@@ -282,68 +270,75 @@ where
 {
     let started = Instant::now();
     let compiles_before = runner.plan_cache().compiles();
-    let header = header_bytes(&jobs);
+    let tag = queue_tag(&jobs);
 
-    // Replay phase: collect completed records and find the journal tail.
+    // Replay phase: collect completed jobs, find the journal tail, and
+    // list the jobs the journal holds no submit record for.
     let mut replayed: HashMap<usize, Replayed<T>> = HashMap::new();
-    let writer = if opts.resume {
-        let journal = read_journal(path)?;
-        // Mid-stream corruption is quarantined, not fatal: a lost record
-        // held one completed job's report, and that job simply re-runs
-        // below (it never lands in `replayed`). Surface the damage so
-        // the operator knows the disk misbehaved.
-        for entry in &journal.salvage {
+    let (mut queue, unsubmitted) = if opts.resume {
+        let (queue, recovery) = QueueJournal::resume(path, &tag, opts.fsync_every)?;
+        // Mid-stream corruption is quarantined, not fatal: a lost done
+        // record held one completed job's report, and that job simply
+        // re-runs below (it never lands in `replayed`). Surface the damage
+        // so the operator knows the disk misbehaved.
+        for entry in &recovery.salvage {
             eprintln!("rvv-batch: {}: journal salvage: {entry}", path.display());
         }
-        let on_disk = open(HEADER_KIND, HEADER_VERSION, &journal.header)
-            .map_err(|e| bad(format!("journal header: {e}")))?;
-        let expected = open(HEADER_KIND, HEADER_VERSION, &header).expect("fresh header");
-        if on_disk != expected {
-            return Err(bad(format!(
-                "journal at {} was written for a different job list ({} jobs expected)",
-                path.display(),
-                jobs.len()
-            )));
-        }
-        for record in &journal.records {
-            let rec =
-                decode_record::<T>(record).map_err(|e| bad(format!("journal record: {e}")))?;
-            if rec.index >= jobs.len() {
+        for item in &recovery.completed {
+            if item.id >= jobs.len() as u64 {
                 return Err(bad(format!(
-                    "journal record index {} out of range",
-                    rec.index
+                    "journal record for job {} out of range",
+                    item.id
                 )));
             }
-            // Last write wins; duplicates can only arise from resuming a
-            // resume that crashed, and both copies are identical anyway.
-            replayed.insert(rec.index, rec);
+            let index = item.id as usize;
+            let rec = decode_record::<T>(&item.payload)
+                .map_err(|e| bad(format!("journal record for job {index}: {e}")))?;
+            replayed.insert(index, rec);
         }
-        JournalWriter::resume(path, journal.valid_len, opts.fsync_every)?
+        // A job neither pending nor completed lost its submit record to
+        // a submit batch torn mid-write.
+        let pending: HashSet<u64> = recovery.pending.iter().map(|item| item.id).collect();
+        let lost: Vec<usize> = (0..jobs.len())
+            .filter(|i| !replayed.contains_key(i) && !pending.contains(&(*i as u64)))
+            .collect();
+        (queue, lost)
     } else {
-        JournalWriter::create(path, &header, opts.fsync_every)?
+        let queue = QueueJournal::create(path, &tag, opts.fsync_every)?;
+        (queue, (0..jobs.len()).collect())
     };
+    // Every job is submitted before anything runs, so each done record
+    // appended below pairs a submit record.
+    queue.submit_all(
+        unsubmitted
+            .iter()
+            .map(|&i| (i as u64, jobs[i].name.as_bytes())),
+    )?;
 
     let remaining: Vec<usize> = (0..jobs.len())
         .filter(|i| !replayed.contains_key(i))
         .collect();
 
     // Execute the remainder, journaling each completion as it happens.
-    // The observer runs on worker threads in completion order; the writer
+    // The observer runs on worker threads in completion order; the queue
     // is a single append stream behind a mutex (append order does not
-    // matter — records are keyed by job index). A failed append degrades
+    // matter — done records are keyed by job index), next to the count of
+    // done records this process appended. A failed append degrades
     // instead of dying: journaling stops (warned once), the sweep itself
     // finishes and returns its full result — the only thing lost is
     // resumability from this point on.
-    let writer = Mutex::new(Some(writer));
+    let state = Mutex::new((Some(queue), 0u64));
     let crash_after = opts.crash_after;
     let live = runner.run_subset(&jobs, &remaining, &|index, report| {
-        let mut guard = writer.lock().expect("journal writer poisoned");
-        let Some(w) = guard.as_mut() else { return };
-        match w.append(&encode_record(index, report)) {
-            Ok(appended) => {
-                if crash_after.is_some_and(|n| appended >= n) {
+        let mut guard = state.lock().expect("journal writer poisoned");
+        let (slot, done) = &mut *guard;
+        let Some(queue) = slot.as_mut() else { return };
+        match queue.complete(index as u64, &encode_record(report)) {
+            Ok(()) => {
+                *done += 1;
+                if crash_after.is_some_and(|n| *done >= n) {
                     // The deterministic kill -9: no unwinding, no Drop, no
-                    // flush beyond what append already wrote.
+                    // flush beyond what the append already wrote.
                     std::process::abort();
                 }
             }
@@ -353,18 +348,18 @@ where
                      for the rest of this run: {e}",
                     path.display()
                 );
-                *guard = None;
+                *slot = None;
             }
         }
     });
-    drop(writer);
+    drop(state);
 
     // Merge replayed and live reports in job order.
     let mut live = live.into_iter().peekable();
     let mut reports = Vec::with_capacity(jobs.len());
     for (i, job) in jobs.iter().enumerate() {
         if let Some(rec) = replayed.remove(&i) {
-            reports.push(rec.into_report(job)?);
+            reports.push(rec.into_report(job));
         } else {
             let (j, report) = live.next().expect("every job replayed or run");
             debug_assert_eq!(i, j, "live reports out of order");

@@ -11,7 +11,7 @@
 
 use rvv_batch::journal::{run_journaled, JournalOptions};
 use rvv_batch::{BatchJob, BatchResult, BatchRunner, JobOutcome};
-use rvv_ckpt::read_journal;
+use rvv_ckpt::{fs_backend, read_journal_on};
 use scanvec::primitives::{plus_scan, seg_plus_scan};
 use scanvec::{EnvConfig, HEAP_BASE};
 use std::fs;
@@ -87,9 +87,9 @@ fn journaled_run_matches_plain_run_and_journal_is_replayable() {
     assert_eq!(digest_of(&journaled), golden);
     assert!(journaled.degraded().is_some(), "the sweep has failures");
 
-    // ...and left one record per job behind it.
-    let journal = read_journal(&path).unwrap();
-    assert_eq!(journal.records.len(), jobs().len());
+    // ...and left a submit and a done record per job behind it.
+    let journal = read_journal_on(&fs_backend(), &path).unwrap();
+    assert_eq!(journal.records.len(), 2 * jobs().len());
 
     // Resuming a *complete* journal replays everything and runs nothing;
     // the digest still matches, and failures come back as Replayed.
@@ -133,7 +133,7 @@ fn every_truncation_point_resumes_to_the_golden_digest_at_any_thread_count() {
     )
     .unwrap();
     let full = fs::read(&path).unwrap();
-    let journal = read_journal(&path).unwrap();
+    let journal = read_journal_on(&fs_backend(), &path).unwrap();
 
     // Record boundaries in the file: header end, then each record end.
     let mut boundaries = Vec::new();
@@ -167,8 +167,23 @@ fn every_truncation_point_resumes_to_the_golden_digest_at_any_thread_count() {
                 golden,
                 "cut after record {cut} at {threads} threads"
             );
-            // The resumed journal is whole again: resumable once more.
-            assert_eq!(read_journal(&p).unwrap().records.len(), jobs().len());
+            // The resumed journal is whole again: resumable once more,
+            // also after a cut inside the submit batch.
+            let again = run_journaled(
+                &BatchRunner::new(threads),
+                jobs(),
+                &p,
+                &JournalOptions {
+                    resume: true,
+                    ..JournalOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                digest_of(&again),
+                golden,
+                "second resume after record {cut} at {threads} threads"
+            );
         }
     }
     fs::remove_dir_all(&dir).unwrap();
@@ -200,7 +215,7 @@ fn resume_refuses_a_journal_for_a_different_sweep() {
     )
     .unwrap_err();
     assert!(
-        err.to_string().contains("different job list"),
+        err.to_string().contains("journal belongs to"),
         "unexpected error: {err}"
     );
 
@@ -216,5 +231,55 @@ fn resume_refuses_a_journal_for_a_different_sweep() {
         },
     )
     .is_err());
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_corrupt_done_record_is_salvaged_and_its_job_reruns() {
+    let dir = tmpdir("salvage");
+    let golden = digest_of(&BatchRunner::new(1).run(jobs()));
+    let path = dir.join("full.journal");
+    run_journaled(
+        &BatchRunner::new(1),
+        jobs(),
+        &path,
+        &JournalOptions::default(),
+    )
+    .unwrap();
+    let mut bytes = fs::read(&path).unwrap();
+    let journal = read_journal_on(&fs_backend(), &path).unwrap();
+
+    // Flip a byte in the middle of the third done record (the submits
+    // come first, one per job): an interior record, not the tail.
+    let victim = jobs().len() + 2;
+    let start: usize = std::iter::once(&journal.header)
+        .chain(&journal.records[..victim])
+        .map(|payload| 4 + 8 + payload.len())
+        .sum();
+    bytes[start + 12 + journal.records[victim].len() / 2] ^= 0x40;
+
+    for threads in [1, 2, 4] {
+        let p = dir.join(format!("flipped-t{threads}.journal"));
+        fs::write(&p, &bytes).unwrap();
+        let flipped = read_journal_on(&fs_backend(), &p).unwrap();
+        assert_eq!(flipped.salvage.len(), 1, "the flip is quarantined");
+        for pass in ["first", "second"] {
+            let resumed = run_journaled(
+                &BatchRunner::new(threads),
+                jobs(),
+                &p,
+                &JournalOptions {
+                    resume: true,
+                    ..JournalOptions::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(
+                digest_of(&resumed),
+                golden,
+                "{pass} resume at {threads} threads"
+            );
+        }
+    }
     fs::remove_dir_all(&dir).unwrap();
 }

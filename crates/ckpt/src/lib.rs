@@ -5,12 +5,12 @@
 //! ([`ByteWriter`]/[`ByteReader`]), a versioned digest-stamped frame
 //! ([`seal`]/[`open`]) used by machine and environment snapshots, a
 //! length-prefixed FNV-checksummed write-ahead journal
-//! ([`JournalWriter`]/[`read_journal`]) whose reader tolerates a torn
+//! ([`JournalWriter`]/[`read_journal_on`]) whose reader tolerates a torn
 //! tail *and salvages around mid-stream corruption* (see
-//! [`SalvageEntry`]), [`write_atomic`] (write-temp-then-rename) so a
-//! crash never leaves a truncated manifest, and dual-generation snapshot
-//! slots ([`GenStore`]) that fall back to the older valid generation when
-//! the newer one rots.
+//! [`SalvageEntry`]), the durable job queue built on it
+//! ([`queue::QueueJournal`], which the sweep service and journaled batch
+//! sweeps both write), and [`write_atomic`] (write-temp-then-rename) so a
+//! crash never leaves a truncated manifest.
 //!
 //! All of it runs over a pluggable [`StorageBackend`] — the real
 //! filesystem in production, a deterministic fault-injecting
@@ -32,11 +32,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 pub mod doctor;
-mod gen;
 pub mod queue;
 mod storage;
 
-pub use gen::{GenSlot, GenStore};
 pub use storage::{fs_backend, ChaosBackend, ChaosPlan, FsBackend, StorageBackend, StorageFile};
 
 /// Directory-entry syncs performed (test observability for the
@@ -49,7 +47,7 @@ pub(crate) static DIR_SYNCS: std::sync::atomic::AtomicU64 = std::sync::atomic::A
 /// durable: until the directory entry itself is synced, a crash can
 /// resurrect the old name even though the renamed file's *contents* were
 /// fsynced. Called after [`write_atomic`]'s rename and after
-/// [`JournalWriter::create`] materializes a new journal.
+/// [`JournalWriter::create_on`] materializes a new journal.
 fn sync_dir(dir: &Path) -> io::Result<()> {
     #[cfg(test)]
     DIR_SYNCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
@@ -526,11 +524,6 @@ pub fn parse_journal(bytes: &[u8], label: &str) -> io::Result<Journal> {
     })
 }
 
-/// Read a journal file from the real filesystem (see [`read_journal_on`]).
-pub fn read_journal(path: &Path) -> io::Result<Journal> {
-    read_journal_on(&fs_backend(), path)
-}
-
 /// Read a journal file through `backend`, tolerating a torn tail and
 /// salvaging around mid-stream corruption (see [`parse_journal`]).
 pub fn read_journal_on(backend: &Arc<dyn StorageBackend>, path: &Path) -> io::Result<Journal> {
@@ -563,12 +556,6 @@ fn parent_dir(path: &Path) -> PathBuf {
 }
 
 impl JournalWriter {
-    /// Create (truncate) `path` on the real filesystem — see
-    /// [`JournalWriter::create_on`].
-    pub fn create(path: &Path, header: &[u8], fsync_every: u32) -> io::Result<Self> {
-        Self::create_on(&fs_backend(), path, header, fsync_every)
-    }
-
     /// Create (truncate) `path` through `backend` and write + fsync the
     /// header record.
     pub fn create_on(
@@ -597,15 +584,9 @@ impl JournalWriter {
         Ok(w)
     }
 
-    /// Reopen an existing journal on the real filesystem — see
-    /// [`JournalWriter::resume_on`].
-    pub fn resume(path: &Path, valid_len: u64, fsync_every: u32) -> io::Result<Self> {
-        Self::resume_on(&fs_backend(), path, valid_len, fsync_every)
-    }
-
     /// Reopen an existing journal for appending through `backend`,
     /// truncating the torn tail first: `valid_len` comes from
-    /// [`read_journal`]. The truncation is fsynced before this returns —
+    /// [`read_journal_on`]. The truncation is fsynced before this returns —
     /// without that, a crash immediately after resume could resurrect
     /// the discarded tail and interleave it with freshly appended
     /// records.
@@ -839,13 +820,13 @@ mod tests {
         let path = dir.join("t.journal");
         let records: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i; 3 + i as usize]).collect();
         {
-            let mut w = JournalWriter::create(&path, b"HDR", 1).unwrap();
+            let mut w = JournalWriter::create_on(&fs_backend(), &path, b"HDR", 1).unwrap();
             for r in &records {
                 w.append(r).unwrap();
             }
             assert_eq!(w.appended(), 5);
         }
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_on(&fs_backend(), &path).unwrap();
         assert_eq!(j.header, b"HDR");
         assert_eq!(j.records, records);
         assert_eq!(j.valid_len, fs::metadata(&path).unwrap().len());
@@ -853,15 +834,15 @@ mod tests {
         // Tear the tail mid-record: the valid prefix survives.
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 2]).unwrap();
-        let torn = read_journal(&path).unwrap();
+        let torn = read_journal_on(&fs_backend(), &path).unwrap();
         assert_eq!(torn.records, records[..4].to_vec());
 
         // Resume truncates the tear and appends cleanly.
         {
-            let mut w = JournalWriter::resume(&path, torn.valid_len, 1).unwrap();
+            let mut w = JournalWriter::resume_on(&fs_backend(), &path, torn.valid_len, 1).unwrap();
             w.append(&records[4]).unwrap();
         }
-        let healed = read_journal(&path).unwrap();
+        let healed = read_journal_on(&fs_backend(), &path).unwrap();
         assert_eq!(healed.records, records);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -915,7 +896,7 @@ mod tests {
         let dir = tmpdir("corrupt");
         let path = dir.join("t.journal");
         {
-            let mut w = JournalWriter::create(&path, b"H", 0).unwrap();
+            let mut w = JournalWriter::create_on(&fs_backend(), &path, b"H", 0).unwrap();
             w.append(b"first").unwrap();
             w.append(b"second").unwrap();
             w.sync().unwrap();
@@ -924,7 +905,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] ^= 0xff; // corrupt the last record's payload
         fs::write(&path, &bytes).unwrap();
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_on(&fs_backend(), &path).unwrap();
         assert_eq!(j.records, vec![b"first".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -934,9 +915,9 @@ mod tests {
         let dir = tmpdir("nohdr");
         let path = dir.join("t.journal");
         fs::write(&path, [0u8; 7]).unwrap();
-        assert!(read_journal(&path).is_err());
+        assert!(read_journal_on(&fs_backend(), &path).is_err());
         fs::write(&path, b"").unwrap();
-        assert!(read_journal(&path).is_err());
+        assert!(read_journal_on(&fs_backend(), &path).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -962,7 +943,7 @@ mod tests {
         use std::sync::atomic::Ordering;
         // The file was always fsynced; the *rename* wasn't durable until
         // the parent directory fd was synced too. Pin that every
-        // write_atomic performs the dir sync (JournalWriter::create pins
+        // write_atomic performs the dir sync (JournalWriter::create_on pins
         // the same contract for journal creation).
         let dir = tmpdir("dirsync");
         let path = dir.join("out.txt");
@@ -973,10 +954,10 @@ mod tests {
             after_write > before,
             "write_atomic must fsync the parent directory after the rename"
         );
-        JournalWriter::create(&dir.join("t.journal"), b"H", 1).unwrap();
+        JournalWriter::create_on(&fs_backend(), &dir.join("t.journal"), b"H", 1).unwrap();
         assert!(
             DIR_SYNCS.load(Ordering::Relaxed) > after_write,
-            "JournalWriter::create must fsync the parent directory"
+            "JournalWriter::create_on must fsync the parent directory"
         );
         fs::remove_dir_all(&dir).unwrap();
     }

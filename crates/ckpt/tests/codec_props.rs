@@ -4,7 +4,9 @@
 //! after losing an arbitrary torn tail.
 
 use proptest::prelude::*;
-use rvv_ckpt::{fnv1a, open, read_journal, seal, ByteReader, ByteWriter, JournalWriter};
+use rvv_ckpt::{
+    fnv1a, fs_backend, open, read_journal_on, seal, ByteReader, ByteWriter, JournalWriter,
+};
 use std::fs;
 use std::path::PathBuf;
 
@@ -106,13 +108,13 @@ proptest! {
         let dir = tmpdir("journal", salt);
         let path = dir.join("p.journal");
         {
-            let mut w = JournalWriter::create(&path, &header, 0).unwrap();
+            let mut w = JournalWriter::create_on(&fs_backend(), &path, &header, 0).unwrap();
             for r in &records {
                 w.append(r).unwrap();
             }
             w.sync().unwrap();
         }
-        let j = read_journal(&path).unwrap();
+        let j = read_journal_on(&fs_backend(), &path).unwrap();
         prop_assert_eq!(&j.header, &header);
         prop_assert_eq!(&j.records, &records);
 
@@ -122,7 +124,7 @@ proptest! {
         fs::write(&path, &full[..keep]).unwrap();
         // Tearing into the header record itself is a hard error; any
         // survivor must be an exact record prefix.
-        if let Ok(torn) = read_journal(&path) {
+        if let Ok(torn) = read_journal_on(&fs_backend(), &path) {
             prop_assert_eq!(&torn.header, &header);
             prop_assert!(torn.records.len() <= records.len());
             prop_assert_eq!(&torn.records[..], &records[..torn.records.len()]);
