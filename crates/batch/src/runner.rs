@@ -27,7 +27,6 @@ use std::time::{Duration, Instant};
 pub struct BatchRunner {
     threads: usize,
     engine: Arc<Engine>,
-    backoff: BackoffPolicy,
 }
 
 impl BatchRunner {
@@ -46,33 +45,7 @@ impl BatchRunner {
         BatchRunner {
             threads: threads.max(1),
             engine,
-            backoff: BackoffPolicy::default(),
         }
-    }
-
-    /// Replace the retry backoff schedule (builder style). The default is
-    /// [`BackoffPolicy::default`] — a 2 ms doubling schedule with
-    /// seed-0 jitter; [`BackoffPolicy::none`] restores the historical
-    /// retry-immediately behavior.
-    pub fn backoff(mut self, policy: BackoffPolicy) -> BatchRunner {
-        self.backoff = policy;
-        self
-    }
-
-    /// The retry backoff schedule retries are spaced by.
-    pub fn backoff_policy(&self) -> &BackoffPolicy {
-        &self.backoff
-    }
-
-    /// A runner over a private engine that compiles into an existing
-    /// registry. Compatibility shim from before the engine/session split;
-    /// prefer [`BatchRunner::with_engine`], which shares policy as well as
-    /// plans.
-    pub fn with_cache(threads: usize, plans: Arc<PlanCache>) -> BatchRunner {
-        BatchRunner::with_engine(
-            threads,
-            Arc::new(Engine::builder().plan_cache(plans).build()),
-        )
     }
 
     /// Worker count.
@@ -140,13 +113,14 @@ impl BatchRunner {
             include.last().is_none_or(|&i| i < jobs.len()),
             "job index out of range"
         );
+        let backoff = &BackoffPolicy::default();
         if self.threads == 1 {
             // Serial reference path: caller's thread, job order, one pool.
             let mut pool = SessionPool::new(&self.engine);
             return include
                 .into_iter()
                 .map(|i| {
-                    let report = execute_job(&jobs[i], i as u64, &mut pool, 0, &self.backoff);
+                    let report = execute_job(&jobs[i], i as u64, &mut pool, 0, backoff);
                     observer(i, &report);
                     (i, report)
                 })
@@ -167,7 +141,6 @@ impl BatchRunner {
                 .enumerate()
                 .map(|(worker, shard)| {
                     let engine = Arc::clone(&self.engine);
-                    let backoff = &self.backoff;
                     s.spawn(move || {
                         let mut pool = SessionPool::new(&engine);
                         shard

@@ -169,7 +169,10 @@ fn costed_sweep_digest_is_thread_count_invariant() {
 #[test]
 fn shared_registry_compiles_each_config_once() {
     let cache = PlanCache::shared();
-    let runner = BatchRunner::with_cache(8, Arc::clone(&cache));
+    let runner = BatchRunner::with_engine(
+        8,
+        Arc::new(Engine::builder().plan_cache(Arc::clone(&cache)).build()),
+    );
     let result = runner.run(jobs());
     assert!(result.all_ok());
     assert!(result.plan_compiles > 0, "sweep must compile kernels");

@@ -31,9 +31,10 @@ type PlanKey = (String, KernelConfig, SpillProfile);
 /// `(name, KernelConfig, SpillProfile)`.
 ///
 /// Create one per process (or per sweep) and hand clones of the `Arc` to
-/// every [`crate::ScanEnv`] via [`crate::ScanEnv::with_cache`]; environments
-/// built with [`crate::ScanEnv::new`] get a private registry and behave
-/// exactly as before.
+/// every engine that should share it via
+/// [`crate::EngineBuilder::plan_cache`]; sessions built with
+/// [`crate::ScanEnv::new`] get a private registry and behave exactly as
+/// before.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     plans: Mutex<HashMap<PlanKey, Arc<CompiledPlan>>>,

@@ -223,9 +223,9 @@ pub struct Session {
     poisoned: bool,
 }
 
-/// The historical name for [`Session`], kept so the whole pre-split API
-/// surface (`ScanEnv::new`, `ScanEnv::with_cache`, every consumer
-/// signature) continues to compile unchanged.
+/// The historical name for [`Session`], kept so the pre-split API
+/// surface (`ScanEnv::new`, every consumer signature) continues to
+/// compile unchanged.
 pub type ScanEnv = Session;
 
 /// Launch `plan` on tier `exec` under `hooks`: the one place a tier picks
@@ -273,20 +273,6 @@ impl Session {
     /// construction goes through [`Engine::session`].
     pub fn new(cfg: EnvConfig) -> Session {
         Engine::new()
-            .session(cfg)
-            .expect("invalid EnvConfig (see Engine::validate)")
-    }
-
-    /// Build a session whose private engine compiles kernels into (and
-    /// launches them from) an existing shared [`PlanCache`]. Sessions
-    /// sharing a registry never recompile a kernel another one already
-    /// built for the same `(name, VLEN, SEW, LMUL, spill profile)`.
-    /// Compatibility shim over `Engine::builder().plan_cache(..)`; panics
-    /// on an invalid configuration like [`Session::new`].
-    pub fn with_cache(cfg: EnvConfig, plans: Arc<PlanCache>) -> Session {
-        Engine::builder()
-            .plan_cache(plans)
-            .build()
             .session(cfg)
             .expect("invalid EnvConfig (see Engine::validate)")
     }
