@@ -39,8 +39,9 @@ pub trait StorageFile: fmt::Debug + Send {
 }
 
 /// The file operations [`crate::JournalWriter`], [`crate::queue::QueueJournal`],
-/// and [`crate::write_atomic_on`] are written against. Implementations must be shareable across threads (the serve
-/// layer holds one behind an `Arc` for its whole lifetime).
+/// and [`crate::write_atomic_on`] are written against. Implementations
+/// must be shareable across threads (the serve layer holds one behind an
+/// `Arc` for its whole lifetime).
 pub trait StorageBackend: fmt::Debug + Send + Sync {
     /// Read a whole file.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
