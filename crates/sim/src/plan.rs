@@ -9,6 +9,26 @@
 //! through a per-op *vtype specialization cache* instead of matching on the
 //! element width per element.
 //!
+//! ## Bulk element paths
+//!
+//! The vector kernels a strip-mined loop spends its time in move whole
+//! slices of the register file and memory instead of one element at a
+//! time. Each such kernel first runs one precheck over the whole
+//! operation; only when it passes does the bulk path run, and otherwise the
+//! kernel's per-element loop runs unchanged, so traps, trap addresses and
+//! partially written state are the legacy interpreter's.
+//!
+//! * Unit-stride `vle` (masked or not) checks bounds and guards once over
+//!   `[base, base + vl·EEW)` and then copies; unmasked `vse` is one
+//!   [`crate::Memory::write_bytes`], which dirties exactly the pages the
+//!   per-element stores would. Masked `vse` stays per element: one write
+//!   over the range would dirty pages that only inactive elements cover.
+//! * `vop.vv/.vx/.vi` (masked or not), `vmv.v.v/.v.x/.v.i`, unmasked
+//!   compares and unmasked `vslideup`/`vslidedown` work on slices once
+//!   each operand's elements lie inside its LMUL-aligned group. Such groups
+//!   of one size are the same or disjoint, so `vd` either is a source or
+//!   misses it. Masks are walked a byte at a time.
+//!
 //! ## Dispatch-independence invariant
 //!
 //! The plan engine is an implementation detail: architectural results,
@@ -41,7 +61,7 @@ use crate::fault::FaultAction;
 use crate::hooks::RunHooks;
 use crate::machine::Machine;
 use crate::program::{Program, RunReport};
-use rvv_isa::{Instr, InstrClass, MemWidth, Sew, VAluOp, VCmp, VCsr, VReg, XReg};
+use rvv_isa::{Instr, InstrClass, MemWidth, Sew, VAluOp, VCmp, VCsr, VReg, VType, XReg};
 use std::sync::OnceLock;
 
 // ------------------------------------------------------------------ types --
@@ -457,6 +477,71 @@ cmpop!(CLe, |a, b| E::sext(a) <= E::sext(b));
 cmpop!(CGtu, |a, b| a > b);
 cmpop!(CGt, |a, b| E::sext(a) > E::sext(b));
 
+// ------------------------------------------------------------ bulk helpers --
+
+/// Byte offset of the group based at `r` in the register file.
+#[inline(always)]
+fn group_off(m: &Machine, r: VReg) -> usize {
+    r.num() as usize * m.vlenb() as usize
+}
+
+/// The register-side precheck of the bulk paths: an operand's `bytes` of
+/// elements lie inside its LMUL-aligned group, so two groups of one size
+/// hold the same region or disjoint ones and a whole-slice move equals the
+/// ascending per-element loop. `vsetvl` never sets `vl` that high; only a
+/// restored snapshot can, and then the per-element loop runs.
+#[inline(always)]
+fn within_group(m: &Machine, t: VType, bytes: usize) -> bool {
+    bytes <= t.lmul.regs() as usize * m.vlenb() as usize
+}
+
+/// Disjoint element regions of the register file: mutable at `offa`,
+/// shared at `offb` (the caller has proven the ranges don't overlap).
+#[inline(always)]
+fn disjoint_regions(
+    vregs: &mut [u8],
+    offa: usize,
+    offb: usize,
+    bytes: usize,
+) -> (&mut [u8], &[u8]) {
+    if offa < offb {
+        let (lo, hi) = vregs.split_at_mut(offb);
+        (&mut lo[offa..offa + bytes], &hi[..bytes])
+    } else {
+        let (lo, hi) = vregs.split_at_mut(offa);
+        (&mut hi[..bytes], &lo[offb..offb + bytes])
+    }
+}
+
+/// Call `f(vregs, i)` for each element `i < vl` active under the mask in
+/// `v0`. `v0` is register 0, so mask bit `i` is bit `i % 8` of byte `i / 8`
+/// of the register file. The walk skips clear bytes and re-reads the byte
+/// after every call, as the per-element loop reads each bit after the
+/// earlier elements' writes: a masked load may write a `vd` that overlaps
+/// `v0`, and at e8 element 0 alone holds the bits of elements 1–7.
+#[inline(always)]
+fn for_each_active(vregs: &mut [u8], vl: u32, mut f: impl FnMut(&mut [u8], usize)) {
+    let vl = vl as usize;
+    for byte in 0..vl.div_ceil(8) {
+        let first = 8 * byte;
+        // The bits of this byte below `vl` not visited yet.
+        let mut pending: u32 = if vl - first >= 8 {
+            0xff
+        } else {
+            (1 << (vl - first)) - 1
+        };
+        loop {
+            let bits = u32::from(vregs[byte]) & pending;
+            if bits == 0 {
+                break;
+            }
+            let j = bits.trailing_zeros();
+            f(vregs, first + j as usize);
+            pending &= !((2 << j) - 1);
+        }
+    }
+}
+
 // ----------------------------------------------------------------- kernels --
 
 type VAluFn = fn(&mut Machine, VReg, VReg, VSrc, bool) -> SimResult<()>;
@@ -478,7 +563,10 @@ fn valu_exec<E: Elem, O: BinOp>(
     match src {
         VSrc::V(vs1) => {
             m.check_data_op(vd, &[vs2, vs1], vm)?;
-            let (_, vl) = m.vcfg()?;
+            let (t, vl) = m.vcfg()?;
+            if valu_bulk::<E, O>(m, t, vl, vd, vs2, src, vm) {
+                return Ok(());
+            }
             if vm {
                 for i in 0..vl {
                     let a = E::get(m, vs2, i);
@@ -512,8 +600,11 @@ fn valu_scalar<E: Elem, O: BinOp>(
     vm: bool,
 ) -> SimResult<()> {
     m.check_data_op(vd, &[vs2], vm)?;
-    let (_, vl) = m.vcfg()?;
+    let (t, vl) = m.vcfg()?;
     let b = b & E::MAX;
+    if valu_bulk::<E, O>(m, t, vl, vd, vs2, VSrc::I(b), vm) {
+        return Ok(());
+    }
     if vm {
         for i in 0..vl {
             let a = E::get(m, vs2, i);
@@ -530,32 +621,108 @@ fn valu_scalar<E: Elem, O: BinOp>(
     Ok(())
 }
 
+/// Bulk path of `vop.vv/.vx/.vi`: `vd[i] = vs2[i] ⊕ rhs[i]` for every
+/// active `i`. Returns `false`, having written nothing, when the
+/// register-side precheck fails.
+#[inline(always)]
+fn valu_bulk<E: Elem, O: BinOp>(
+    m: &mut Machine,
+    t: VType,
+    vl: u32,
+    vd: VReg,
+    vs2: VReg,
+    rhs: VSrc,
+    vm: bool,
+) -> bool {
+    let bytes = vl as usize * E::BYTES;
+    if !within_group(m, t, bytes) {
+        return false;
+    }
+    let (d, a) = (group_off(m, vd), group_off(m, vs2));
+    let (c, b) = match rhs {
+        VSrc::V(vs1) => (Some(group_off(m, vs1)), 0),
+        VSrc::X(rs1) => (None, m.xreg(rs1) & E::MAX),
+        VSrc::I(b) => (None, b & E::MAX),
+    };
+    let vregs = m.vreg_store_mut();
+    if vm && c != Some(d) {
+        // `vd` is `vs2` or misses it: bring `vs2` in, then combine in place.
+        if d != a {
+            vregs.copy_within(a..a + bytes, d);
+        }
+        match c {
+            Some(c) => {
+                let (dst, rhs) = disjoint_regions(vregs, d, c, bytes);
+                for (x, y) in dst
+                    .chunks_exact_mut(E::BYTES)
+                    .zip(rhs.chunks_exact(E::BYTES))
+                {
+                    E::st(x, O::apply::<E>(E::ld(x), E::ld(y)));
+                }
+            }
+            None => {
+                for x in vregs[d..d + bytes].chunks_exact_mut(E::BYTES) {
+                    E::st(x, O::apply::<E>(E::ld(x), b));
+                }
+            }
+        }
+        return true;
+    }
+    // Masked, or `vd` is `vs1`: element by element in ascending order, each
+    // read before the write at the same index.
+    let step = |vregs: &mut [u8], i: usize| {
+        let o = i * E::BYTES;
+        let x = E::ld(&vregs[a + o..a + o + E::BYTES]);
+        let y = c.map_or(b, |c| E::ld(&vregs[c + o..c + o + E::BYTES]));
+        E::st(&mut vregs[d + o..d + o + E::BYTES], O::apply::<E>(x, y));
+    };
+    if vm {
+        (0..vl as usize).for_each(|i| step(vregs, i));
+    } else {
+        for_each_active(vregs, vl, step);
+    }
+    true
+}
+
 fn vmove_exec<E: Elem>(m: &mut Machine, vd: VReg, src: VSrc) -> SimResult<()> {
     match src {
         VSrc::V(vs1) => {
             m.check_data_op(vd, &[vs1], true)?;
-            let (_, vl) = m.vcfg()?;
+            let (t, vl) = m.vcfg()?;
+            let bytes = vl as usize * E::BYTES;
+            if within_group(m, t, bytes) {
+                let (d, s) = (group_off(m, vd), group_off(m, vs1));
+                m.vreg_store_mut().copy_within(s..s + bytes, d);
+                return Ok(());
+            }
             for i in 0..vl {
                 let v = E::get(m, vs1, i);
                 E::set(m, vd, i, v);
             }
         }
         VSrc::X(rs1) => {
-            m.check_data_op(vd, &[], true)?;
-            let (_, vl) = m.vcfg()?;
-            let v = m.xreg(rs1) & E::MAX;
-            for i in 0..vl {
-                E::set(m, vd, i, v);
-            }
+            let v = m.xreg(rs1);
+            return vmove_scalar::<E>(m, vd, v);
         }
-        VSrc::I(imm) => {
-            m.check_data_op(vd, &[], true)?;
-            let (_, vl) = m.vcfg()?;
-            let v = imm & E::MAX;
-            for i in 0..vl {
-                E::set(m, vd, i, v);
-            }
+        VSrc::I(imm) => return vmove_scalar::<E>(m, vd, imm),
+    }
+    Ok(())
+}
+
+fn vmove_scalar<E: Elem>(m: &mut Machine, vd: VReg, v: u64) -> SimResult<()> {
+    m.check_data_op(vd, &[], true)?;
+    let (t, vl) = m.vcfg()?;
+    let v = v & E::MAX;
+    let bytes = vl as usize * E::BYTES;
+    if within_group(m, t, bytes) {
+        let d = group_off(m, vd);
+        for x in m.vreg_store_mut()[d..d + bytes].chunks_exact_mut(E::BYTES) {
+            E::st(x, v);
         }
+        return Ok(());
+    }
+    for i in 0..vl {
+        E::set(m, vd, i, v);
     }
     Ok(())
 }
@@ -625,6 +792,10 @@ fn vcmp_exec<E: Elem, C: CmpOp>(
         VSrc::X(rs1) => m.xreg(rs1) & E::MAX,
         VSrc::I(imm) => imm & E::MAX,
     };
+    if vm {
+        vcmp_bulk::<E, C>(m, vd, vs2, src, b_const, vl);
+        return Ok(());
+    }
     // Stage results in two packed bitsets (set, valid) so a destination
     // overlapping a source group is well-defined — same staging the legacy
     // interpreter does, but in a machine-resident scratch buffer instead of
@@ -657,6 +828,58 @@ fn vcmp_exec<E: Elem, C: CmpOp>(
     Ok(())
 }
 
+/// Bulk path of an unmasked compare. `vd` may overlap a source, so every
+/// result is packed (64 to a word of `cmp_scratch`) before any mask byte
+/// is written; the last partial byte is merged so that bits at and above
+/// `vl` keep their values.
+#[inline(always)]
+fn vcmp_bulk<E: Elem, C: CmpOp>(
+    m: &mut Machine,
+    vd: VReg,
+    vs2: VReg,
+    src: VSrc,
+    b_const: u64,
+    vl: u32,
+) {
+    let (vl, bytes) = (vl as usize, vl as usize * E::BYTES);
+    let mut packed = std::mem::take(&mut m.cmp_scratch);
+    packed.clear();
+    let vregs = m.vreg_store();
+    let lhs = &vregs[group_off(m, vs2)..][..bytes];
+    match src {
+        VSrc::V(vs1) => {
+            let rhs = &vregs[group_off(m, vs1)..][..bytes];
+            for (ca, cb) in lhs.chunks(64 * E::BYTES).zip(rhs.chunks(64 * E::BYTES)) {
+                let pairs = ca.chunks_exact(E::BYTES).zip(cb.chunks_exact(E::BYTES));
+                packed.push(pairs.enumerate().fold(0u64, |w, (j, (a, b))| {
+                    w | u64::from(C::cmp::<E>(E::ld(a), E::ld(b))) << j
+                }));
+            }
+        }
+        _ => {
+            for ca in lhs.chunks(64 * E::BYTES) {
+                packed.push(
+                    ca.chunks_exact(E::BYTES)
+                        .enumerate()
+                        .fold(0u64, |w, (j, a)| {
+                            w | u64::from(C::cmp::<E>(E::ld(a), b_const)) << j
+                        }),
+                );
+            }
+        }
+    }
+    let d = group_off(m, vd);
+    let mask = &mut m.vreg_store_mut()[d..d + vl.div_ceil(8)];
+    let last = mask.last().copied().unwrap_or(0);
+    for (dst, w) in mask.chunks_mut(8).zip(&packed) {
+        dst.copy_from_slice(&w.to_le_bytes()[..dst.len()]);
+    }
+    if vl % 8 != 0 {
+        mask[vl / 8] |= last & (0xff << (vl % 8));
+    }
+    m.cmp_scratch = packed;
+}
+
 fn vslide_exec<E: Elem>(
     m: &mut Machine,
     kind: SlideKind,
@@ -675,6 +898,13 @@ fn vslide_exec<E: Elem>(
                 });
             }
             let start = off.value(m).min(vl as u64) as u32;
+            let bytes = (vl - start) as usize * E::BYTES;
+            if vm && within_group(m, t, vl as usize * E::BYTES) {
+                let (d, s) = (group_off(m, vd), group_off(m, vs2));
+                let d = d + start as usize * E::BYTES;
+                m.vreg_store_mut().copy_within(s..s + bytes, d);
+                return Ok(());
+            }
             // vd/vs2 overlap is forbidden above, so no snapshot is needed.
             for i in start..vl {
                 if m.active(vm, i) {
@@ -688,6 +918,25 @@ fn vslide_exec<E: Elem>(
             let (t, vl) = m.vcfg()?;
             let vlmax = t.vlmax(m.vlen()) as u64;
             let offset = off.value(m);
+            let bytes = vl as usize * E::BYTES;
+            if vm && within_group(m, t, bytes) {
+                // A memmove equals the ascending read-ahead loop below.
+                // Elements from VLMAX − offset on read as 0; `offset` is
+                // scaled only once it is below VLMAX, so it cannot overflow.
+                let moved = if offset < vlmax {
+                    ((vlmax - offset) as usize).min(vl as usize) * E::BYTES
+                } else {
+                    0
+                };
+                let (d, s) = (group_off(m, vd), group_off(m, vs2));
+                let vregs = m.vreg_store_mut();
+                if moved > 0 {
+                    let s = s + offset as usize * E::BYTES;
+                    vregs.copy_within(s..s + moved, d);
+                }
+                vregs[d + moved..d + bytes].fill(0);
+                return Ok(());
+            }
             // Reads run ahead of writes (j = i + offset ≥ i, ascending i),
             // so even the ISA-legal vd == vs2 case needs no snapshot.
             // checked_add: an offset near u64::MAX is architecturally past
@@ -741,6 +990,9 @@ fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimRes
     m.check_emul_group(vd, regs)?;
     let (_, vl) = m.vcfg()?;
     let base = m.xreg(rs1);
+    if vload_bulk::<E>(m, vd, base, vl, vm) {
+        return Ok(());
+    }
     for i in 0..vl {
         if m.active(vm, i) {
             let addr = base.wrapping_add(i as u64 * E::BYTES as u64);
@@ -751,11 +1003,45 @@ fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimRes
     Ok(())
 }
 
+/// Bulk path of a unit-stride load: one bounds and guard check over
+/// `[base, base + vl·EEW)`, then a copy of the active elements. Returns
+/// `false`, having written nothing, when the check fails — also when only
+/// inactive elements fail it, which the per-element loop skips.
+#[inline(always)]
+fn vload_bulk<E: Elem>(m: &mut Machine, vd: VReg, base: u64, vl: u32, vm: bool) -> bool {
+    let bytes = vl as usize * E::BYTES;
+    let d = group_off(m, vd);
+    let (mem, vregs) = m.mem_and_vregs();
+    let Ok(src) = mem.read_bytes(base, bytes as u64) else {
+        return false;
+    };
+    if vm {
+        vregs[d..d + bytes].copy_from_slice(src);
+    } else {
+        for_each_active(vregs, vl, |vregs, i| {
+            let o = i * E::BYTES;
+            vregs[d + o..d + o + E::BYTES].copy_from_slice(&src[o..o + E::BYTES]);
+        });
+    }
+    true
+}
+
 fn vstore_unit<E: Elem>(m: &mut Machine, vs3: VReg, rs1: XReg, vm: bool) -> SimResult<()> {
     let regs = m.emul_regs(E::SEW)?;
     m.check_emul_group(vs3, regs)?;
     let (_, vl) = m.vcfg()?;
     let base = m.xreg(rs1);
+    // Bulk path, unmasked only: `write_bytes` checks bounds and guards over
+    // the whole range and changes nothing when that fails. A masked store
+    // stays per element, since one write would dirty pages that only
+    // inactive elements cover, and snapshots carry the dirty pages.
+    if vm {
+        let (bytes, s) = (vl as usize * E::BYTES, group_off(m, vs3));
+        let (mem, vregs) = m.mem_and_vregs();
+        if mem.write_bytes(base, &vregs[s..s + bytes]).is_ok() {
+            return Ok(());
+        }
+    }
     for i in 0..vl {
         if m.active(vm, i) {
             let addr = base.wrapping_add(i as u64 * E::BYTES as u64);

@@ -6,7 +6,10 @@
 //! that the paper's strip-mined kernels emit back-to-back — each compiled to
 //! one SEW-monomorphized Rust kernel that performs the whole window as bulk
 //! slice traffic (`copy_from_slice` / `copy_within` / `chunks_exact`
-//! iterators) instead of per-element interpreter dispatch. Four shapes are
+//! iterators). The plan tier's own kernels already move slices op by op
+//! (see "Bulk element paths" in the parent module); what a window saves is
+//! the dispatch and the precheck of every op after its first, and chained
+//! ALU stages share one pass over the elements. Four shapes are
 //! recognized:
 //!
 //! * **Map** — an optional unit-stride load, up to [`MAP_MAX_ALUS`] in-place
@@ -523,24 +526,6 @@ fn scalar_operand<E: Elem>(m: &Machine, src: VSrc) -> Option<u64> {
         VSrc::X(r) => Some(m.xreg(r) & E::MAX),
         VSrc::I(v) => Some(v & E::MAX),
         VSrc::V(_) => None,
-    }
-}
-
-/// Disjoint element regions of the register file: mutable at `offa`,
-/// shared at `offb` (the caller has proven the ranges don't overlap).
-#[inline(always)]
-fn disjoint_regions(
-    vregs: &mut [u8],
-    offa: usize,
-    offb: usize,
-    bytes: usize,
-) -> (&mut [u8], &[u8]) {
-    if offa < offb {
-        let (lo, hi) = vregs.split_at_mut(offb);
-        (&mut lo[offa..offa + bytes], &hi[..bytes])
-    } else {
-        let (lo, hi) = vregs.split_at_mut(offa);
-        (&mut hi[..bytes], &lo[offb..offb + bytes])
     }
 }
 

@@ -8,7 +8,7 @@
 //! addresses, and overlap constraints) without hand-writing generators.
 
 use proptest::prelude::*;
-use rvv_isa::{decode, Instr, InstrClass, VReg, VType, XReg};
+use rvv_isa::{decode, Instr, InstrClass, Sew, VReg, VType, XReg};
 use rvv_sim::{
     CompiledPlan, FaultAction, FaultHook, HookSet, Machine, MachineConfig, MemAccess, Program,
     RetireEvent, RunReport, SimResult, TraceSink,
@@ -18,8 +18,33 @@ fn soup(words: &[u32]) -> Vec<Instr> {
     words.iter().filter_map(|&w| decode(w).ok()).collect()
 }
 
+/// A unit-stride `vle`/`vse` built from the bits of `r`: EEW, register,
+/// mask flag and direction, with its base in one of `a1`–`a7`.
+fn unit_stride_op(r: u32) -> Instr {
+    let eew = [Sew::E8, Sew::E16, Sew::E32, Sew::E64][(r & 3) as usize];
+    let v = VReg::new((r >> 2 & 31) as u8);
+    let rs1 = XReg::arg(1 + (r >> 7 & 0xff) as u8 % 7);
+    let vm = r >> 10 & 1 == 1;
+    if r >> 11 & 1 == 1 {
+        Instr::VStore {
+            eew,
+            vs3: v,
+            rs1,
+            vm,
+        }
+    } else {
+        Instr::VLoad {
+            eew,
+            vd: v,
+            rs1,
+            vm,
+        }
+    }
+}
+
 /// Assert two machines are architecturally indistinguishable: registers,
-/// vector state, configuration, counters, and every byte of memory.
+/// vector state, configuration, counters, every byte of memory, and the
+/// memory snapshot (dirty pages and guards).
 fn assert_same_state(plan: &Machine, legacy: &Machine) {
     for i in 0..32 {
         assert_eq!(
@@ -40,10 +65,17 @@ fn assert_same_state(plan: &Machine, legacy: &Machine) {
     assert_eq!(plan.counters, legacy.counters, "counters diverged");
     let size = plan.mem.size();
     assert_eq!(size, legacy.mem.size());
+    // Host-side reads: a guard armed over the memory must not trap them.
+    let words = (size / 8) as usize;
     assert_eq!(
-        plan.mem.read_bytes(0, size).unwrap(),
-        legacy.mem.read_bytes(0, size).unwrap(),
+        plan.mem.read_u64_slice(0, words),
+        legacy.mem.read_u64_slice(0, words),
         "memory diverged"
+    );
+    assert_eq!(
+        plan.mem.snapshot(),
+        legacy.mem.snapshot(),
+        "memory snapshot diverged"
     );
 }
 
@@ -244,8 +276,13 @@ proptest! {
     }
 
     /// Differential soup with a legal vtype primed first, so the vector
-    /// kernels (the SEW-specialized fast paths and the fused windows)
-    /// actually execute.
+    /// kernels (the SEW-specialized fast paths, their bulk paths and the
+    /// fused windows) actually execute. `a1`–`a7` point into memory, up to
+    /// its last byte, `v0` holds seeded mask bits, and an optional guard
+    /// sits a little above one of the bases. Random words decode to a
+    /// unit-stride load or store about once in 13,000 instructions, so a
+    /// few are spliced in; they run into the end of memory and into
+    /// guards, with active and inactive elements alike.
     #[test]
     fn plan_and_fused_match_legacy_on_vector_soup(
         words in prop::collection::vec(any::<u32>(), 0..200),
@@ -253,6 +290,9 @@ proptest! {
         sew_pick in 0u8..4,
         lmul_pick in 0u8..4,
         hook_pick in 0usize..3,
+        seed_regs in prop::collection::vec(any::<u64>(), 7),
+        guard in (0usize..14, 0u64..256, 1u64..64),
+        unit_stride in prop::collection::vec(any::<u32>(), 0..8),
     ) {
         let cfg = MachineConfig { vlen: 256, mem_bytes: 1 << 16 };
         let sew = [rvv_isa::Sew::E8, rvv_isa::Sew::E16, rvv_isa::Sew::E32, rvv_isa::Sew::E64][sew_pick as usize];
@@ -263,10 +303,25 @@ proptest! {
             vtype: rvv_isa::VType::new(sew, lmul),
         }];
         instrs.extend(soup(&words));
+        for r in unit_stride {
+            instrs.insert(1 + (r >> 12) as usize % instrs.len(), unit_stride_op(r));
+        }
         instrs.push(Instr::Ecall);
         let p = Program::new("vsoup", instrs);
         let mut m = Machine::new(cfg);
         m.set_xreg(XReg::new(10), avl);
+        for (i, &s) in seed_regs.iter().enumerate() {
+            m.set_xreg(XReg::arg(i as u8 + 1), s % (1 << 16));
+        }
+        let mask: Vec<u8> = seed_regs[..4].iter().flat_map(|s| s.to_le_bytes()).collect();
+        m.set_vreg_bytes(VReg::V0, &mask);
+        // Half the cases arm a guard `above` bytes past the base in
+        // `a<reg + 1>`.
+        let (reg, above, len) = guard;
+        if let Some(&s) = seed_regs.get(reg) {
+            let start = s % (1 << 16) + above;
+            m.mem.add_guard(start..start + len);
+        }
         assert_tiers_agree(&m, &p, HOOKS[hook_pick])?;
     }
 }

@@ -266,3 +266,92 @@ fn traced_runs_produce_identical_event_streams() {
     assert_eq!(s1.0, s2.0, "trace event streams diverged");
     assert_eq!(s1.0.len() as u64, r1.retired);
 }
+
+/// Run `p` on the plan and legacy tiers from `start` and assert the same
+/// result, counters, vector registers and memory snapshot (dirty pages
+/// included); returns the plan tier's machine.
+fn both_from(start: &Machine, p: &Program) -> Machine {
+    let plan = CompiledPlan::compile(p.clone());
+    let (mut m1, mut m2) = (start.clone(), start.clone());
+    let r1 = m1.run_plan(&plan, 100, 0, &mut ());
+    let r2 = m2.run_legacy(p, 100, 0, &mut ());
+    assert_eq!(r1, r2, "engines disagree on {}", p.name);
+    assert_eq!(m1.counters, m2.counters, "counters disagree on {}", p.name);
+    for v in 0..32 {
+        assert_eq!(
+            m1.vreg_bytes(VReg::new(v)),
+            m2.vreg_bytes(VReg::new(v)),
+            "v{v} diverged on {}",
+            p.name
+        );
+    }
+    assert_eq!(m1.mem.snapshot(), m2.mem.snapshot(), "memory on {}", p.name);
+    m1
+}
+
+/// `vsetvli x0, x10, <vtype>`, one vector op, `ecall`.
+fn one_vector_op(name: &str, vtype: VType, op: Instr) -> Program {
+    let cfg = Instr::Vsetvli {
+        rd: XReg::ZERO,
+        rs1: XReg::new(10),
+        vtype,
+    };
+    Program::new(name, vec![cfg, op, Instr::Ecall])
+}
+
+#[test]
+fn masked_store_dirties_only_the_pages_of_active_elements() {
+    // e32 m8 at VLEN 128: vl = 32 elements, 128 bytes from 64 bytes below
+    // a page boundary. Only elements 0–15 are active, and they all sit
+    // below the boundary, so exactly one page may become dirty.
+    let mut m = machine();
+    m.set_xreg(XReg::new(10), 32);
+    m.set_xreg(XReg::new(11), 4096 - 64);
+    m.set_vreg_bytes(
+        VReg::V0,
+        &[0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+    );
+    for r in 8..16u8 {
+        m.set_vreg_bytes(VReg::new(r), &[r; 16]);
+    }
+    let store = Instr::VStore {
+        eew: Sew::E32,
+        vs3: VReg::new(8),
+        rs1: XReg::new(11),
+        vm: false,
+    };
+    let p = one_vector_op("masked-vse", VType::new(Sew::E32, Lmul::M8), store);
+    let m = both_from(&m, &p);
+    assert_eq!(m.mem.dirty_pages(), 1);
+    assert_eq!(m.mem.peek(4096 - 64, 1).unwrap(), 8);
+    assert_eq!(m.mem.peek(4096, 1).unwrap(), 0);
+}
+
+#[test]
+fn masked_load_into_v0_reads_each_mask_bit_after_earlier_writes() {
+    // vle8.v v0, (x11), v0.t with every mask bit of elements 0–15 set.
+    // Element 0 loads 0x01 into mask byte 0, which turns elements 1–7
+    // off, so mask byte 1 keeps elements 8–15 on. A walk that read byte 0
+    // once would load elements 1–7 too, and element 1's 0xaa in byte 1
+    // would then turn elements 8, 10, 12 and 14 off.
+    let mut m = machine();
+    m.set_xreg(XReg::new(10), 16);
+    m.set_xreg(XReg::new(11), 256);
+    m.set_vreg_bytes(VReg::V0, &[0xff; 16]);
+    m.mem.poke(256, 1, 0x01).unwrap();
+    for a in 257..272 {
+        m.mem.poke(a, 1, 0xaa).unwrap();
+    }
+    let load = Instr::VLoad {
+        eew: Sew::E8,
+        vd: VReg::V0,
+        rs1: XReg::new(11),
+        vm: false,
+    };
+    let p = one_vector_op("masked-vle-v0", VType::new(Sew::E8, Lmul::M1), load);
+    let m = both_from(&m, &p);
+    let mut want = [0xffu8; 16];
+    want[0] = 0x01;
+    want[8..].fill(0xaa);
+    assert_eq!(m.vreg_bytes(VReg::V0), &want[..]);
+}
