@@ -18,16 +18,18 @@
 //! kernel's per-element loop runs unchanged, so traps, trap addresses and
 //! partially written state are the legacy interpreter's.
 //!
-//! * Unit-stride `vle` (masked or not) checks bounds and guards once over
-//!   `[base, base + vl·EEW)` and then copies; unmasked `vse` is one
-//!   [`crate::Memory::write_bytes`], which dirties exactly the pages the
-//!   per-element stores would. Masked `vse` stays per element: one write
-//!   over the range would dirty pages that only inactive elements cover.
-//! * `vop.vv/.vx/.vi` (masked or not), `vmv.v.v/.v.x/.v.i`, unmasked
-//!   compares and unmasked `vslideup`/`vslidedown` work on slices once
-//!   each operand's elements lie inside its LMUL-aligned group. Such groups
-//!   of one size are the same or disjoint, so `vd` either is a source or
-//!   misses it. Masks are walked a byte at a time.
+//! * Register side: each operand's elements lie inside its aligned group.
+//!   Groups of one size are then the same or disjoint, so `vd` either is a
+//!   source or misses it. `vop.vv/.vx/.vi` (masked or not),
+//!   `vmv.v.v/.v.x/.v.i`, unmasked compares and unmasked
+//!   `vslideup`/`vslidedown` need no more. Masks are walked a byte at a
+//!   time.
+//! * Memory side: unit-stride `vle` (masked or not) checks bounds and
+//!   guards once over `[base, base + vl·EEW)` and then copies; unmasked
+//!   `vse` is one [`crate::Memory::write_bytes`], which dirties exactly the
+//!   pages the per-element stores would. Masked `vse` stays per element:
+//!   one write over the range would dirty pages that only inactive
+//!   elements cover.
 //!
 //! ## Dispatch-independence invariant
 //!
@@ -486,13 +488,13 @@ fn group_off(m: &Machine, r: VReg) -> usize {
 }
 
 /// The register-side precheck of the bulk paths: an operand's `bytes` of
-/// elements lie inside its LMUL-aligned group, so two groups of one size
-/// hold the same region or disjoint ones and a whole-slice move equals the
-/// ascending per-element loop. `vsetvl` never sets `vl` that high; only a
-/// restored snapshot can, and then the per-element loop runs.
+/// elements lie inside its aligned group of `regs` registers, so two groups
+/// of one size hold the same region or disjoint ones and a whole-slice move
+/// equals the ascending per-element loop. `vsetvl` never sets `vl` that
+/// high; only a restored snapshot can, and then the per-element loop runs.
 #[inline(always)]
-fn within_group(m: &Machine, t: VType, bytes: usize) -> bool {
-    bytes <= t.lmul.regs() as usize * m.vlenb() as usize
+fn within_group(m: &Machine, regs: u32, bytes: usize) -> bool {
+    bytes <= regs as usize * m.vlenb() as usize
 }
 
 /// Disjoint element regions of the register file: mutable at `offa`,
@@ -635,7 +637,7 @@ fn valu_bulk<E: Elem, O: BinOp>(
     vm: bool,
 ) -> bool {
     let bytes = vl as usize * E::BYTES;
-    if !within_group(m, t, bytes) {
+    if !within_group(m, t.lmul.regs(), bytes) {
         return false;
     }
     let (d, a) = (group_off(m, vd), group_off(m, vs2));
@@ -690,7 +692,7 @@ fn vmove_exec<E: Elem>(m: &mut Machine, vd: VReg, src: VSrc) -> SimResult<()> {
             m.check_data_op(vd, &[vs1], true)?;
             let (t, vl) = m.vcfg()?;
             let bytes = vl as usize * E::BYTES;
-            if within_group(m, t, bytes) {
+            if within_group(m, t.lmul.regs(), bytes) {
                 let (d, s) = (group_off(m, vd), group_off(m, vs1));
                 m.vreg_store_mut().copy_within(s..s + bytes, d);
                 return Ok(());
@@ -714,7 +716,7 @@ fn vmove_scalar<E: Elem>(m: &mut Machine, vd: VReg, v: u64) -> SimResult<()> {
     let (t, vl) = m.vcfg()?;
     let v = v & E::MAX;
     let bytes = vl as usize * E::BYTES;
-    if within_group(m, t, bytes) {
+    if within_group(m, t.lmul.regs(), bytes) {
         let d = group_off(m, vd);
         for x in m.vreg_store_mut()[d..d + bytes].chunks_exact_mut(E::BYTES) {
             E::st(x, v);
@@ -898,11 +900,10 @@ fn vslide_exec<E: Elem>(
                 });
             }
             let start = off.value(m).min(vl as u64) as u32;
-            let bytes = (vl - start) as usize * E::BYTES;
-            if vm && within_group(m, t, vl as usize * E::BYTES) {
-                let (d, s) = (group_off(m, vd), group_off(m, vs2));
-                let d = d + start as usize * E::BYTES;
-                m.vreg_store_mut().copy_within(s..s + bytes, d);
+            if vm && within_group(m, t.lmul.regs(), vl as usize * E::BYTES) {
+                let d = group_off(m, vd) + start as usize * E::BYTES;
+                let (s, moved) = (group_off(m, vs2), (vl - start) as usize * E::BYTES);
+                m.vreg_store_mut().copy_within(s..s + moved, d);
                 return Ok(());
             }
             // vd/vs2 overlap is forbidden above, so no snapshot is needed.
@@ -919,7 +920,7 @@ fn vslide_exec<E: Elem>(
             let vlmax = t.vlmax(m.vlen()) as u64;
             let offset = off.value(m);
             let bytes = vl as usize * E::BYTES;
-            if vm && within_group(m, t, bytes) {
+            if vm && within_group(m, t.lmul.regs(), bytes) {
                 // A memmove equals the ascending read-ahead loop below.
                 // Elements from VLMAX − offset on read as 0; `offset` is
                 // scaled only once it is below VLMAX, so it cannot overflow.
@@ -990,7 +991,7 @@ fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimRes
     m.check_emul_group(vd, regs)?;
     let (_, vl) = m.vcfg()?;
     let base = m.xreg(rs1);
-    if vload_bulk::<E>(m, vd, base, vl, vm) {
+    if vload_bulk::<E>(m, vd, regs, base, vl, vm) {
         return Ok(());
     }
     for i in 0..vl {
@@ -1003,13 +1004,17 @@ fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimRes
     Ok(())
 }
 
-/// Bulk path of a unit-stride load: one bounds and guard check over
-/// `[base, base + vl·EEW)`, then a copy of the active elements. Returns
-/// `false`, having written nothing, when the check fails — also when only
-/// inactive elements fail it, which the per-element loop skips.
+/// Bulk path of a unit-stride load into the `regs`-register group at
+/// `vd`: one bounds and guard check over `[base, base + vl·EEW)`, then a
+/// copy of the active elements. Returns `false`, having written nothing,
+/// when a precheck fails — also when only inactive elements fail the
+/// memory check, which the per-element loop skips.
 #[inline(always)]
-fn vload_bulk<E: Elem>(m: &mut Machine, vd: VReg, base: u64, vl: u32, vm: bool) -> bool {
+fn vload_bulk<E: Elem>(m: &mut Machine, vd: VReg, regs: u32, base: u64, vl: u32, vm: bool) -> bool {
     let bytes = vl as usize * E::BYTES;
+    if !within_group(m, regs, bytes) {
+        return false;
+    }
     let d = group_off(m, vd);
     let (mem, vregs) = m.mem_and_vregs();
     let Ok(src) = mem.read_bytes(base, bytes as u64) else {
@@ -1035,8 +1040,9 @@ fn vstore_unit<E: Elem>(m: &mut Machine, vs3: VReg, rs1: XReg, vm: bool) -> SimR
     // the whole range and changes nothing when that fails. A masked store
     // stays per element, since one write would dirty pages that only
     // inactive elements cover, and snapshots carry the dirty pages.
-    if vm {
-        let (bytes, s) = (vl as usize * E::BYTES, group_off(m, vs3));
+    let bytes = vl as usize * E::BYTES;
+    if vm && within_group(m, regs, bytes) {
+        let s = group_off(m, vs3);
         let (mem, vregs) = m.mem_and_vregs();
         if mem.write_bytes(base, &vregs[s..s + bytes]).is_ok() {
             return Ok(());

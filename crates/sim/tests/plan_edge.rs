@@ -355,3 +355,29 @@ fn masked_load_into_v0_reads_each_mask_bit_after_earlier_writes() {
     want[8..].fill(0xaa);
     assert_eq!(m.vreg_bytes(VReg::V0), &want[..]);
 }
+
+#[test]
+fn vl_above_vlmax_from_a_snapshot_takes_the_per_element_loop() {
+    // e32 m1 at VLEN 128 holds 4 elements per group, but a snapshot can
+    // carry vl = 8. vadd.vv v2, v1, v3 then reads its upper vs2 elements
+    // from v2, which its lower elements have just written: the ascending
+    // per-element order, not a whole-slice move, defines the result.
+    let mut m = machine();
+    let mut snap = m.snapshot();
+    snap.vtype = Some(VType::new(Sew::E32, Lmul::M1));
+    snap.vl = 8;
+    m.restore(&snap);
+    for r in 1..5u8 {
+        m.set_vreg_bytes(VReg::new(r), &[r; 16]);
+    }
+    let add = Instr::VOpVV {
+        op: VAluOp::Add,
+        vd: VReg::new(2),
+        vs2: VReg::new(1),
+        vs1: VReg::new(3),
+        vm: true,
+    };
+    let m = both_from(&m, &Program::new("vl-above-vlmax", vec![add, Instr::Ecall]));
+    assert_eq!(m.vreg_bytes(VReg::new(2)), &[4; 16][..]);
+    assert_eq!(m.vreg_bytes(VReg::new(3)), &[8; 16][..]);
+}
