@@ -11,19 +11,21 @@
 //!
 //! ## Bulk element paths
 //!
-//! The vector kernels a strip-mined loop spends its time in move whole
-//! slices of the register file and memory instead of one element at a
-//! time. Each such kernel first runs one precheck over the whole
-//! operation; only when it passes does the bulk path run, and otherwise the
-//! kernel's per-element loop runs unchanged, so traps, trap addresses and
-//! partially written state are the legacy interpreter's.
+//! The vector kernels a strip-mined loop runs most move whole slices of
+//! the register file and memory instead of one element at a time. Each
+//! such kernel but the unmasked compare first runs one precheck over the
+//! whole operation; only when it passes does the bulk path run, and
+//! otherwise the kernel's per-element loop runs unchanged, so traps, trap
+//! addresses and partially written state are the legacy interpreter's.
 //!
 //! * Register side: each operand's elements lie inside its aligned group.
 //!   Groups of one size are then the same or disjoint, so `vd` either is a
 //!   source or misses it. `vop.vv/.vx/.vi` (masked or not),
-//!   `vmv.v.v/.v.x/.v.i`, unmasked compares and unmasked
-//!   `vslideup`/`vslidedown` need no more. Masks are walked a byte at a
-//!   time.
+//!   `vmv.v.v/.v.x/.v.i` and unmasked `vslideup`/`vslidedown` need no
+//!   more. Masks are walked a byte at a time.
+//! * Unmasked compares need no precheck: like the staged loop they read
+//!   every source element before writing a mask bit, and they read and
+//!   write the same bytes. Their loop runs only for masked compares.
 //! * Memory side: unit-stride `vle` (masked or not) checks bounds and
 //!   guards once over `[base, base + vl·EEW)` and then copies; unmasked
 //!   `vse` is one [`crate::Memory::write_bytes`], which dirties exactly the
@@ -63,7 +65,7 @@ use crate::fault::FaultAction;
 use crate::hooks::RunHooks;
 use crate::machine::Machine;
 use crate::program::{Program, RunReport};
-use rvv_isa::{Instr, InstrClass, MemWidth, Sew, VAluOp, VCmp, VCsr, VReg, VType, XReg};
+use rvv_isa::{Instr, InstrClass, MemWidth, Sew, VAluOp, VCmp, VCsr, VReg, XReg};
 use std::sync::OnceLock;
 
 // ------------------------------------------------------------------ types --
@@ -566,7 +568,8 @@ fn valu_exec<E: Elem, O: BinOp>(
         VSrc::V(vs1) => {
             m.check_data_op(vd, &[vs2, vs1], vm)?;
             let (t, vl) = m.vcfg()?;
-            if valu_bulk::<E, O>(m, t, vl, vd, vs2, src, vm) {
+            if within_group(m, t.lmul.regs(), vl as usize * E::BYTES) {
+                valu_bulk::<E, O>(m, vl, vd, vs2, Some(vs1), 0, vm);
                 return Ok(());
             }
             if vm {
@@ -604,7 +607,8 @@ fn valu_scalar<E: Elem, O: BinOp>(
     m.check_data_op(vd, &[vs2], vm)?;
     let (t, vl) = m.vcfg()?;
     let b = b & E::MAX;
-    if valu_bulk::<E, O>(m, t, vl, vd, vs2, VSrc::I(b), vm) {
+    if within_group(m, t.lmul.regs(), vl as usize * E::BYTES) {
+        valu_bulk::<E, O>(m, vl, vd, vs2, None, b, vm);
         return Ok(());
     }
     if vm {
@@ -623,29 +627,22 @@ fn valu_scalar<E: Elem, O: BinOp>(
     Ok(())
 }
 
-/// Bulk path of `vop.vv/.vx/.vi`: `vd[i] = vs2[i] ⊕ rhs[i]` for every
-/// active `i`. Returns `false`, having written nothing, when the
-/// register-side precheck fails.
+/// Bulk path of `vop.vv/.vx/.vi`, once the caller's `within_group`
+/// precheck has passed: `vd[i] = vs2[i] ⊕ vs1[i]` for every active `i`, or
+/// `vs2[i] ⊕ b` when `vs1` is `None` (`b` already truncated to SEW).
 #[inline(always)]
 fn valu_bulk<E: Elem, O: BinOp>(
     m: &mut Machine,
-    t: VType,
     vl: u32,
     vd: VReg,
     vs2: VReg,
-    rhs: VSrc,
+    vs1: Option<VReg>,
+    b: u64,
     vm: bool,
-) -> bool {
+) {
     let bytes = vl as usize * E::BYTES;
-    if !within_group(m, t.lmul.regs(), bytes) {
-        return false;
-    }
     let (d, a) = (group_off(m, vd), group_off(m, vs2));
-    let (c, b) = match rhs {
-        VSrc::V(vs1) => (Some(group_off(m, vs1)), 0),
-        VSrc::X(rs1) => (None, m.xreg(rs1) & E::MAX),
-        VSrc::I(b) => (None, b & E::MAX),
-    };
+    let c = vs1.map(|r| group_off(m, r));
     let vregs = m.vreg_store_mut();
     if vm && c != Some(d) {
         // `vd` is `vs2` or misses it: bring `vs2` in, then combine in place.
@@ -668,7 +665,7 @@ fn valu_bulk<E: Elem, O: BinOp>(
                 }
             }
         }
-        return true;
+        return;
     }
     // Masked, or `vd` is `vs1`: element by element in ascending order, each
     // read before the write at the same index.
@@ -683,7 +680,6 @@ fn valu_bulk<E: Elem, O: BinOp>(
     } else {
         for_each_active(vregs, vl, step);
     }
-    true
 }
 
 fn vmove_exec<E: Elem>(m: &mut Machine, vd: VReg, src: VSrc) -> SimResult<()> {
@@ -833,7 +829,8 @@ fn vcmp_exec<E: Elem, C: CmpOp>(
 /// Bulk path of an unmasked compare. `vd` may overlap a source, so every
 /// result is packed (64 to a word of `cmp_scratch`) before any mask byte
 /// is written; the last partial byte is merged so that bits at and above
-/// `vl` keep their values.
+/// `vl` keep their values. It reads and writes the bytes the staged loop
+/// does, in the same reads-then-writes order, so it needs no precheck.
 #[inline(always)]
 fn vcmp_bulk<E: Elem, C: CmpOp>(
     m: &mut Machine,
