@@ -22,7 +22,7 @@ use rvv_isa::Lmul;
 use scanvec::primitives::{plus_scan, seg_plus_scan};
 use scanvec::EnvConfig;
 use scanvec::ScanEnv;
-use scanvec_bench::{experiments, print_table, random_head_flags, random_u32s, threads_arg};
+use scanvec_bench::{experiments, random_head_flags, random_u32s, table, threads_arg};
 use std::sync::Arc;
 
 /// One `(algorithm, n)` grid line: per-LMUL counts and cycles.
@@ -159,7 +159,7 @@ fn main() {
             ]
         })
         .collect();
-    print_table(
+    let report = table(
         &format!("Best LMUL, count vs cycles ({})", cost.name()),
         &[
             "algo",
@@ -172,6 +172,7 @@ fn main() {
         ],
         &rows,
     );
+    print!("{report}");
 
     let diverging: Vec<&Line> = lines.iter().filter(|l| l.diverges()).collect();
     println!(

@@ -1,6 +1,7 @@
-//! Run every table, figure, and ablation in sequence — regenerates the
-//! full evaluation (`results/full_run.txt` in the repository was produced
-//! by this). Accepts `--max-n` like the individual binaries,
+//! The determinism gate over the paper's table grid: Tables 1–5 and 7 and
+//! the scan-LMUL sweep as one batch (`scanvec_bench::sweep`), printed
+//! through the same manifest rows `repro` prints (Table 6 and Figure 5
+//! render from Tables 5 and 7). Accepts `--max-n` to cap the sizes,
 //! `--threads <N>` to run the sweep through the `rvv-batch` parallel
 //! engine, and `--exec-engine <plan|legacy|fused>` to select the run-loop
 //! tier for every job (the tiers are architecturally indistinguishable, so
@@ -39,16 +40,15 @@
 //!   points have been journaled by this process; `--crash-seed <S>`
 //!   derives that ordinal deterministically via
 //!   [`rvv_fault::CrashPoint::derive`]. Both exist for the recovery tests.
+//!
+//! A malformed flag value is a usage error (exit 2).
 
 use rvv_batch::journal::{run_journaled, JournalOptions};
 use rvv_batch::{BatchJob, BatchResult, BatchRunner, Engine};
 use rvv_fault::{ArmedFaults, CrashPoint, FaultPlan};
 use scanvec::HEAP_BASE;
-use scanvec_bench::sweep::{decode_sweep, sweep_jobs, Measurement, SweepShape};
-use scanvec_bench::{
-    cost_preset_arg, exec_engine_arg, experiments, flag_arg, fmt_ratio, fmt_speedup, num_arg,
-    print_table, threads_arg,
-};
+use scanvec_bench::sweep::{self, sweep_jobs, Measurement, SweepShape};
+use scanvec_bench::{cost_preset_arg, exec_engine_arg, flag_arg, num_arg, threads_arg};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -75,25 +75,6 @@ fn arm_injection(jobs: Vec<BatchJob<Measurement>>, seed: u64) -> Vec<BatchJob<Me
             })
         })
         .collect()
-}
-
-fn pairs_table(title: &str, rows: &[experiments::Pair]) {
-    let body: Vec<Vec<String>> = rows
-        .iter()
-        .map(|p| {
-            vec![
-                p.n.to_string(),
-                p.ours.to_string(),
-                p.baseline.to_string(),
-                fmt_speedup(p.baseline, p.ours),
-            ]
-        })
-        .collect();
-    print_table(
-        title,
-        &["N", "scan-vector-model", "baseline", "speedup"],
-        &body,
-    );
 }
 
 fn write_sweep_json(
@@ -229,9 +210,9 @@ fn journal_main(
         std::process::exit(2);
     }
 
-    print_tables(shape, &result);
+    print!("{}", sweep::render(shape, &result.reports));
     println!(
-        "\n{} jobs, {} instructions simulated, {} plan compiles, {} thread(s)",
+        "{} jobs, {} instructions simulated, {} plan compiles, {} thread(s)",
         result.reports.len(),
         result.retired(),
         result.plan_compiles,
@@ -322,7 +303,7 @@ fn main() {
         (serial, None, true)
     };
 
-    // A degraded batch can't be folded into tables (`decode_sweep` demands
+    // A degraded batch can't be folded into tables (`sweep::runs` demands
     // every point). With `--keep-going` the run still counts: write the
     // deterministic failure manifest and exit nonzero after the bookkeeping.
     if let Some(summary) = result.degraded() {
@@ -358,10 +339,9 @@ fn main() {
         std::process::exit(if identical { 2 } else { 1 });
     }
 
-    print_tables(&shape, &result);
-
+    print!("{}", sweep::render(&shape, &result.reports));
     println!(
-        "\n{} jobs, {} instructions simulated, {} plan compiles, {} thread(s)",
+        "{} jobs, {} instructions simulated, {} plan compiles, {} thread(s)",
         result.reports.len(),
         result.retired(),
         result.plan_compiles,
@@ -393,88 +373,4 @@ fn main() {
         eprintln!("ERROR: parallel sweep diverged from the serial reference");
         std::process::exit(1);
     }
-}
-
-/// Print every table and figure from a fully-successful sweep.
-fn print_tables(shape: &SweepShape, result: &BatchResult<Measurement>) {
-    let tables = decode_sweep(shape, &result.reports);
-    pairs_table("Table 1 — split radix sort vs qsort", &tables.t1);
-    pairs_table("Table 2 — p_add", &tables.t2);
-    pairs_table("Table 3 — plus_scan", &tables.t3);
-    pairs_table("Table 4 — seg_plus_scan", &tables.t4);
-
-    let body: Vec<Vec<String>> = tables
-        .t5
-        .iter()
-        .map(|&(n, c)| {
-            vec![
-                n.to_string(),
-                c[0].to_string(),
-                c[1].to_string(),
-                c[2].to_string(),
-                c[3].to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "Table 5 — seg_plus_scan across LMUL",
-        &["N", "m1", "m2", "m4", "m8"],
-        &body,
-    );
-
-    let body: Vec<Vec<String>> = experiments::table6(&tables.t5)
-        .iter()
-        .map(|&(n, r)| {
-            vec![
-                n.to_string(),
-                fmt_ratio(r[0]),
-                fmt_ratio(r[1]),
-                fmt_ratio(r[2]),
-            ]
-        })
-        .collect();
-    print_table(
-        "Table 6 — (speedup/LMUL) ratios",
-        &["N", "m2", "m4", "m8"],
-        &body,
-    );
-
-    let body: Vec<Vec<String>> = tables
-        .t7
-        .iter()
-        .map(|&(vlen, seg, padd)| vec![vlen.to_string(), seg.to_string(), padd.to_string()])
-        .collect();
-    print_table(
-        "Table 7 — VLEN sweep",
-        &["vlen", "seg_plus_scan", "p_add"],
-        &body,
-    );
-
-    let body: Vec<Vec<String>> = experiments::figure5_from(tables.t7.clone())
-        .iter()
-        .map(|&(vlen, seg, padd, ideal)| {
-            vec![
-                vlen.to_string(),
-                fmt_ratio(seg),
-                fmt_ratio(padd),
-                fmt_ratio(ideal),
-            ]
-        })
-        .collect();
-    print_table(
-        "Figure 5 — speedup vs vlen=128",
-        &["vlen", "seg", "p_add", "ideal"],
-        &body,
-    );
-
-    let body: Vec<Vec<String>> = tables
-        .scan_lmul
-        .iter()
-        .map(|&(l, ours, base)| vec![format!("m{l}"), ours.to_string(), fmt_speedup(base, ours)])
-        .collect();
-    print_table(
-        "Unsegmented scan across LMUL (abstract claim)",
-        &["LMUL", "count", "speedup"],
-        &body,
-    );
 }

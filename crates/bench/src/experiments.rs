@@ -1,16 +1,16 @@
-//! The experiment implementations behind every table and figure.
+//! The experiment points behind every table, figure and ablation.
 //!
-//! Each function measures dynamic instruction counts on fresh environments
-//! and returns plain data; the `src/bin/table*.rs` binaries format it next
-//! to the paper's published numbers, and the crate's tests assert the
-//! qualitative claims on reduced sizes.
+//! Each `*_point` function measures dynamic instruction counts at one size
+//! inside a caller-provided (fresh or reset) environment, whose
+//! configuration supplies the VLEN, LMUL and spill profile, and returns
+//! plain data. The [`crate::manifest`] runs the points as batch jobs and
+//! formats them next to the paper's published numbers.
 
-use crate::{env_with, env_with_profile, paper_env, random_head_flags, random_u32s};
-use rvv_asm::SpillProfile;
-use rvv_isa::Lmul;
+use crate::{paper_env, random_head_flags, random_u32s};
+use rvv_isa::{InstrClass, Sew};
 use scanvec::primitives::{self, baseline};
 use scanvec::{ScanEnv, ScanKind, ScanOp, ScanResult};
-use scanvec_algos::{qsort_baseline, split_radix_sort};
+use scanvec_algos::{bitonic_sort, qsort_baseline, split_radix_sort};
 
 /// FNV-1a over the little-endian bytes of a result vector: the checksum
 /// sweep points return so cross-configuration equality checks (Table 5's
@@ -45,79 +45,49 @@ impl Pair {
     }
 }
 
-/// Table 1 at one size, in a caller-provided (fresh or reset) paper-config
-/// environment: split radix sort vs scalar quicksort. The batch-engine unit
-/// behind [`table1`].
+/// A pair as a manifest point: `[ours, baseline]`.
+impl From<Pair> for Vec<u64> {
+    fn from(p: Pair) -> Vec<u64> {
+        vec![p.ours, p.baseline]
+    }
+}
+
+/// Table 1 at one size, at the paper config: split radix sort (scan
+/// vector model) vs scalar quicksort.
 pub fn table1_point(e: &mut ScanEnv, n: usize) -> ScanResult<Pair> {
     let data = random_u32s(n, 1);
     let v = e.from_u32(&data)?;
     let ours = split_radix_sort(e, &v, 32)?;
     let w = e.from_u32(&data)?;
-    let base = qsort_baseline(e, &w)?;
+    let baseline = qsort_baseline(e, &w)?;
     // Cross-check both sorted the same.
     assert_eq!(e.to_u32(&v), e.to_u32(&w), "sorters disagree at n={n}");
-    Ok(Pair {
-        n,
-        ours,
-        baseline: base,
-    })
+    Ok(Pair { n, ours, baseline })
 }
 
-/// Table 1: split radix sort (scan vector model) vs scalar quicksort.
-pub fn table1(sizes: &[usize]) -> Vec<Pair> {
-    sizes
-        .iter()
-        .map(|&n| table1_point(&mut paper_env(), n).expect("radix sort"))
-        .collect()
-}
-
-/// Table 2 at one size (see [`table1_point`] for the contract).
+/// Table 2 at one size: `p_add` vs scalar baseline.
 pub fn table2_point(e: &mut ScanEnv, n: usize) -> ScanResult<Pair> {
     let data = random_u32s(n, 2);
     let v = e.from_u32(&data)?;
     let ours = primitives::p_add(e, &v, 5)?;
     let w = e.from_u32(&data)?;
-    let base = baseline::p_add(e, &w, 5)?;
+    let baseline = baseline::p_add(e, &w, 5)?;
     assert_eq!(e.to_u32(&v), e.to_u32(&w));
-    Ok(Pair {
-        n,
-        ours,
-        baseline: base,
-    })
+    Ok(Pair { n, ours, baseline })
 }
 
-/// Table 2: `p_add` vs scalar baseline.
-pub fn table2(sizes: &[usize]) -> Vec<Pair> {
-    sizes
-        .iter()
-        .map(|&n| table2_point(&mut paper_env(), n).expect("p_add"))
-        .collect()
-}
-
-/// Table 3 at one size (see [`table1_point`] for the contract).
+/// Table 3 at one size: unsegmented plus-scan vs scalar baseline.
 pub fn table3_point(e: &mut ScanEnv, n: usize) -> ScanResult<Pair> {
     let data = random_u32s(n, 3);
     let v = e.from_u32(&data)?;
     let ours = primitives::plus_scan(e, &v)?;
     let w = e.from_u32(&data)?;
-    let base = baseline::plus_scan(e, &w)?;
+    let baseline = baseline::plus_scan(e, &w)?;
     assert_eq!(e.to_u32(&v), e.to_u32(&w));
-    Ok(Pair {
-        n,
-        ours,
-        baseline: base,
-    })
+    Ok(Pair { n, ours, baseline })
 }
 
-/// Table 3: unsegmented plus-scan vs scalar baseline.
-pub fn table3(sizes: &[usize]) -> Vec<Pair> {
-    sizes
-        .iter()
-        .map(|&n| table3_point(&mut paper_env(), n).expect("plus_scan"))
-        .collect()
-}
-
-/// Table 4 at one size (see [`table1_point`] for the contract).
+/// Table 4 at one size: segmented plus-scan vs scalar baseline.
 pub fn table4_point(e: &mut ScanEnv, n: usize) -> ScanResult<Pair> {
     let data = random_u32s(n, 4);
     let flags = random_head_flags(n, 4);
@@ -125,33 +95,16 @@ pub fn table4_point(e: &mut ScanEnv, n: usize) -> ScanResult<Pair> {
     let f = e.from_u32(&flags)?;
     let ours = primitives::seg_plus_scan(e, &v, &f)?;
     let w = e.from_u32(&data)?;
-    let base = baseline::seg_plus_scan(e, &w, &f)?;
+    let baseline = baseline::seg_plus_scan(e, &w, &f)?;
     assert_eq!(e.to_u32(&v), e.to_u32(&w));
-    Ok(Pair {
-        n,
-        ours,
-        baseline: base,
-    })
+    Ok(Pair { n, ours, baseline })
 }
 
-/// Table 4: segmented plus-scan vs scalar baseline.
-pub fn table4(sizes: &[usize]) -> Vec<Pair> {
-    sizes
-        .iter()
-        .map(|&n| table4_point(&mut paper_env(), n).expect("seg scan"))
-        .collect()
-}
-
-/// Table 5: segmented plus-scan across LMUL ∈ {1,2,4,8} (VLEN=1024).
-/// Returns `(n, [count at m1, m2, m4, m8])`.
-pub fn table5(sizes: &[usize]) -> Vec<(usize, [u64; 4])> {
-    table5_with_profile(sizes, SpillProfile::llvm14())
-}
-
-/// Table 5 at one `(n, LMUL, profile)` point — the LMUL and profile come
-/// from the environment's configuration. Returns the dynamic instruction
-/// count and a [`checksum`] of the scanned vector, so the caller can assert
-/// cross-LMUL result equality without the points sharing an environment.
+/// Table 5 at one `(n, LMUL, profile)` point — the LMUL and spill profile
+/// come from the environment's configuration. Returns the dynamic
+/// instruction count and a [`checksum`] of the scanned vector, so the
+/// caller can assert cross-LMUL result equality without the points sharing
+/// an environment.
 pub fn table5_point(e: &mut ScanEnv, n: usize) -> ScanResult<(u64, u64)> {
     let data = random_u32s(n, 5);
     let flags = random_head_flags(n, 5);
@@ -159,52 +112,6 @@ pub fn table5_point(e: &mut ScanEnv, n: usize) -> ScanResult<(u64, u64)> {
     let f = e.from_u32(&flags)?;
     let count = primitives::seg_plus_scan(e, &v, &f)?;
     Ok((count, checksum(&e.to_u32(&v))))
-}
-
-/// Table 5 under an explicit spill cost profile (for the ablation).
-pub fn table5_with_profile(sizes: &[usize], profile: SpillProfile) -> Vec<(usize, [u64; 4])> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let mut counts = [0u64; 4];
-            let mut reference: Option<u64> = None;
-            for (i, lmul) in Lmul::ALL.into_iter().enumerate() {
-                let mut e = env_with_profile(1024, lmul, profile);
-                let (count, sum) = table5_point(&mut e, n).expect("seg scan");
-                counts[i] = count;
-                match reference {
-                    None => reference = Some(sum),
-                    Some(r) => assert_eq!(sum, r, "LMUL changed the result at n={n}"),
-                }
-            }
-            (n, counts)
-        })
-        .collect()
-}
-
-/// Table 6: `(speedup over LMUL=1) / LMUL` ratios, derived from Table 5
-/// counts. Columns for LMUL ∈ {2,4,8}.
-pub fn table6(t5: &[(usize, [u64; 4])]) -> Vec<(usize, [f64; 3])> {
-    t5.iter()
-        .map(|&(n, c)| {
-            let r = |i: usize, l: f64| (c[0] as f64 / c[i] as f64) / l;
-            (n, [r(1, 2.0), r(2, 4.0), r(3, 8.0)])
-        })
-        .collect()
-}
-
-/// Table 7: instruction count over VLEN ∈ {128,256,512,1024} for the
-/// segmented plus-scan and `p_add`, N = 10⁴ (LMUL=1).
-/// Returns `(vlen, seg_scan_count, p_add_count)`.
-pub fn table7(n: usize) -> Vec<(u32, u64, u64)> {
-    [128u32, 256, 512, 1024]
-        .into_iter()
-        .map(|vlen| {
-            let mut e = env_with(vlen, Lmul::M1);
-            let (seg, padd) = table7_point(&mut e, n).expect("table7");
-            (vlen, seg, padd)
-        })
-        .collect()
 }
 
 /// Table 7 at one VLEN (taken from the environment's configuration).
@@ -220,45 +127,9 @@ pub fn table7_point(e: &mut ScanEnv, n: usize) -> ScanResult<(u64, u64)> {
     Ok((seg, padd))
 }
 
-/// Figure 5: speedup relative to VLEN=128 for the segmented plus-scan and
-/// `p_add`, plus the ideal `vlen/128` line. Derived from [`table7`] data.
-/// Returns `(vlen, seg_speedup, p_add_speedup, ideal)`.
-pub fn figure5(n: usize) -> Vec<(u32, f64, f64, f64)> {
-    figure5_from(table7(n))
-}
-
-/// [`figure5`] from already-measured [`table7`] rows (the batch-ported
-/// `run_all` derives the figure without re-measuring).
-pub fn figure5_from(t7: Vec<(u32, u64, u64)>) -> Vec<(u32, f64, f64, f64)> {
-    let (base_seg, base_padd) = (t7[0].1, t7[0].2);
-    t7.into_iter()
-        .map(|(vlen, seg, padd)| {
-            (
-                vlen,
-                base_seg as f64 / seg as f64,
-                base_padd as f64 / padd as f64,
-                vlen as f64 / 128.0,
-            )
-        })
-        .collect()
-}
-
-/// Abstract-claim experiment: unsegmented scan across LMUL (no spilling —
-/// near-ideal group scaling; the 2.85× → 21.93× improvement).
-/// Returns `(lmul_regs, scan_count, baseline_count)`.
-pub fn scan_lmul_sweep(n: usize) -> Vec<(u32, u64, u64)> {
-    Lmul::ALL
-        .into_iter()
-        .map(|lmul| {
-            let mut e = env_with(1024, lmul);
-            let (ours, base) = scan_lmul_point(&mut e, n).expect("scan");
-            (lmul.regs(), ours, base)
-        })
-        .collect()
-}
-
-/// One LMUL point of [`scan_lmul_sweep`] (the LMUL comes from the
-/// environment). Returns `(scan_count, baseline_count)`.
+/// The abstract's LMUL claim at one LMUL (taken from the environment):
+/// the unsegmented scan, which never spills. Returns `(scan_count,
+/// baseline_count)`.
 pub fn scan_lmul_point(e: &mut ScanEnv, n: usize) -> ScanResult<(u64, u64)> {
     let data = random_u32s(n, 8);
     let v = e.from_u32(&data)?;
@@ -269,24 +140,17 @@ pub fn scan_lmul_point(e: &mut ScanEnv, n: usize) -> ScanResult<(u64, u64)> {
 }
 
 /// Ablation: `enumerate` via `viota` (paper §4.4) vs via a generic
-/// exclusive scan. Returns `(n, viota_count, generic_count)`.
-pub fn ablation_enumerate(sizes: &[usize]) -> Vec<(usize, u64, u64)> {
-    sizes
-        .iter()
-        .map(|&n| {
-            let flags: Vec<u32> = random_u32s(n, 9).iter().map(|x| x & 1).collect();
-            let mut e = paper_env();
-            let f = e.from_u32(&flags).expect("alloc");
-            let d = e.alloc(rvv_isa::Sew::E32, n).expect("alloc");
-            let (c1, viota) = primitives::enumerate(&mut e, &f, true, &d).expect("enumerate");
-            let got1 = e.to_u32(&d);
-            let (c2, generic) =
-                primitives::enumerate_via_scan(&mut e, &f, true, &d).expect("enumerate");
-            assert_eq!(c1, c2);
-            assert_eq!(got1, e.to_u32(&d));
-            (n, viota, generic)
-        })
-        .collect()
+/// exclusive scan. Returns `[viota_count, generic_count]`.
+pub fn enumerate_point(e: &mut ScanEnv, n: usize) -> ScanResult<[u64; 2]> {
+    let flags: Vec<u32> = random_u32s(n, 9).iter().map(|x| x & 1).collect();
+    let f = e.from_u32(&flags)?;
+    let d = e.alloc(Sew::E32, n)?;
+    let (c1, viota) = primitives::enumerate(e, &f, true, &d)?;
+    let got1 = e.to_u32(&d);
+    let (c2, generic) = primitives::enumerate_via_scan(e, &f, true, &d)?;
+    assert_eq!(c1, c2);
+    assert_eq!(got1, e.to_u32(&d));
+    Ok([viota, generic])
 }
 
 /// Exclusive vs inclusive scan cost (they should be nearly identical —
@@ -303,258 +167,205 @@ pub fn scan_kinds(n: usize) -> (u64, u64) {
 
 /// Ablation: segment descriptor choice (paper §5 picks head-flags because
 /// it maps directly onto RVV). Measures segmented-scan cost including any
-/// on-device descriptor conversion:
-/// head-flags (direct), lengths (exclusive-scan + scatter), head-pointers
-/// (scatter). Returns `(n, direct, via_lengths, via_pointers)`.
-pub fn ablation_segdesc(sizes: &[usize]) -> Vec<(usize, u64, u64, u64)> {
-    use rvv_isa::Sew;
+/// on-device descriptor conversion: head-flags (direct), lengths
+/// (exclusive-scan + scatter), head-pointers (scatter). Returns
+/// `[direct, via_lengths, via_pointers]`.
+pub fn segdesc_point(e: &mut ScanEnv, n: usize) -> ScanResult<[u64; 3]> {
     use scanvec::Segments;
-    sizes
-        .iter()
-        .map(|&n| {
-            let data = random_u32s(n, 11);
-            let flags = {
-                let mut f = random_head_flags(n, 11);
-                if !f.is_empty() {
-                    f[0] = 1;
-                }
-                f
-            };
-            let segs = Segments::from_head_flags(flags.clone()).expect("valid flags");
-            let lengths = segs.to_lengths();
-            let pointers = segs.to_head_pointers();
-            let nseg = segs.segment_count();
+    let data = random_u32s(n, 11);
+    let flags = {
+        let mut f = random_head_flags(n, 11);
+        if !f.is_empty() {
+            f[0] = 1;
+        }
+        f
+    };
+    let segs = Segments::from_head_flags(flags.clone()).expect("valid flags");
+    let nseg = segs.segment_count();
 
-            // Direct head-flags.
-            let direct = {
-                let mut e = paper_env();
-                let v = e.from_u32(&data).expect("alloc");
-                let f = e.from_u32(&flags).expect("alloc");
-                primitives::seg_plus_scan(&mut e, &v, &f).expect("seg scan")
-            };
-            // Lengths: device-side exclusive scan to positions, scatter 1s.
-            let via_lengths = {
-                let mut e = paper_env();
-                let v = e.from_u32(&data).expect("alloc");
-                let l = e.from_u32(&lengths).expect("alloc");
-                let ones = e.alloc(Sew::E32, nseg).expect("alloc");
-                let f = e.alloc(Sew::E32, n).expect("alloc");
-                let mut c = primitives::p_add(&mut e, &ones, 1).expect("ones");
-                c += primitives::scan(&mut e, ScanOp::Plus, &l, ScanKind::Exclusive)
-                    .expect("positions");
-                c += primitives::permute(&mut e, &ones, &l, &f).expect("scatter");
-                assert_eq!(e.to_u32(&f), flags, "lengths conversion mismatch");
-                c += primitives::seg_plus_scan(&mut e, &v, &f).expect("seg scan");
-                c
-            };
-            // Head-pointers: scatter 1s at the pointers.
-            let via_pointers = {
-                let mut e = paper_env();
-                let v = e.from_u32(&data).expect("alloc");
-                let p = e.from_u32(&pointers).expect("alloc");
-                let ones = e.alloc(Sew::E32, nseg).expect("alloc");
-                let f = e.alloc(Sew::E32, n).expect("alloc");
-                let mut c = primitives::p_add(&mut e, &ones, 1).expect("ones");
-                c += primitives::permute(&mut e, &ones, &p, &f).expect("scatter");
-                assert_eq!(e.to_u32(&f), flags, "pointer conversion mismatch");
-                c += primitives::seg_plus_scan(&mut e, &v, &f).expect("seg scan");
-                c
-            };
-            (n, direct, via_lengths, via_pointers)
-        })
-        .collect()
+    // Direct head-flags.
+    let v = e.from_u32(&data)?;
+    let f = e.from_u32(&flags)?;
+    let direct = primitives::seg_plus_scan(e, &v, &f)?;
+    // Lengths: device-side exclusive scan to positions, scatter 1s.
+    let via_lengths = {
+        let v = e.from_u32(&data)?;
+        let l = e.from_u32(&segs.to_lengths())?;
+        let ones = e.alloc(Sew::E32, nseg)?;
+        let f = e.alloc(Sew::E32, n)?;
+        let mut c = primitives::p_add(e, &ones, 1)?;
+        c += primitives::scan(e, ScanOp::Plus, &l, ScanKind::Exclusive)?;
+        c += primitives::permute(e, &ones, &l, &f)?;
+        assert_eq!(e.to_u32(&f), flags, "lengths conversion mismatch");
+        c + primitives::seg_plus_scan(e, &v, &f)?
+    };
+    // Head-pointers: scatter 1s at the pointers.
+    let via_pointers = {
+        let v = e.from_u32(&data)?;
+        let p = e.from_u32(&segs.to_head_pointers())?;
+        let ones = e.alloc(Sew::E32, nseg)?;
+        let f = e.alloc(Sew::E32, n)?;
+        let mut c = primitives::p_add(e, &ones, 1)?;
+        c += primitives::permute(e, &ones, &p, &f)?;
+        assert_eq!(e.to_u32(&f), flags, "pointer conversion mismatch");
+        c + primitives::seg_plus_scan(e, &v, &f)?
+    };
+    Ok([direct, via_lengths, via_pointers])
 }
 
 /// Ablation: VLA strip-mining (paper §3.1's `vsetvli` pattern) vs
 /// VLS-style fixed-width strips plus a scalar remainder loop, for `p_add`.
-/// Returns `(n, vla_count, vls_count, vls_static_instrs, vla_static_instrs)`.
-pub fn ablation_vla_vls(sizes: &[usize]) -> Vec<(usize, u64, u64, usize, usize)> {
+/// Returns `[vla_count, vls_count, vla_static_instrs, vls_static_instrs]`.
+pub fn vla_vls_point(e: &mut ScanEnv, n: usize) -> ScanResult<[u64; 4]> {
     use rvv_isa::VAluOp;
-    sizes
-        .iter()
-        .map(|&n| {
-            let data = random_u32s(n, 12);
-            let mut e = paper_env();
-            let v = e.from_u32(&data).expect("alloc");
-            let vla = primitives::p_add(&mut e, &v, 3).expect("vla");
-            let w = e.from_u32(&data).expect("alloc");
-            let vls = primitives::elem_vx_vls(&mut e, VAluOp::Add, &w, 3).expect("vls");
-            assert_eq!(e.to_u32(&v), e.to_u32(&w), "VLS result diverged at n={n}");
-            let cfg = e.config();
-            let vla_static = scanvec::kernels::build_elem_vx(&cfg, rvv_isa::Sew::E32, VAluOp::Add)
-                .expect("build")
-                .len();
-            let vls_static =
-                scanvec::kernels::build_elem_vx_vls(&cfg, rvv_isa::Sew::E32, VAluOp::Add)
-                    .expect("build")
-                    .len();
-            (n, vla, vls, vls_static, vla_static)
-        })
-        .collect()
+    let data = random_u32s(n, 12);
+    let v = e.from_u32(&data)?;
+    let vla = primitives::p_add(e, &v, 3)?;
+    let w = e.from_u32(&data)?;
+    let vls = primitives::elem_vx_vls(e, VAluOp::Add, &w, 3)?;
+    assert_eq!(e.to_u32(&v), e.to_u32(&w), "VLS result diverged at n={n}");
+    let cfg = e.config();
+    let vla_static = scanvec::kernels::build_elem_vx(&cfg, Sew::E32, VAluOp::Add)
+        .expect("build")
+        .len();
+    let vls_static = scanvec::kernels::build_elem_vx_vls(&cfg, Sew::E32, VAluOp::Add)
+        .expect("build")
+        .len();
+    Ok([vla, vls, vla_static as u64, vls_static as u64])
 }
 
 /// Ablation: split radix sort vs the bitonic network — O(bits·n) passes
 /// against O(n·lg²n) oblivious compare-exchanges, both built purely from
-/// primitives. Returns `(n, radix_count, bitonic_count)`.
-pub fn ablation_sorts(sizes: &[usize]) -> Vec<(usize, u64, u64)> {
-    use scanvec_algos::{bitonic_sort, split_radix_sort};
-    sizes
-        .iter()
-        .map(|&n| {
-            let data = random_u32s(n, 13);
-            let mut e = paper_env();
-            let v = e.from_u32(&data).expect("alloc");
-            let radix = split_radix_sort(&mut e, &v, 32).expect("radix");
-            let w = e.from_u32(&data).expect("alloc");
-            let bitonic = bitonic_sort(&mut e, &w).expect("bitonic");
-            assert_eq!(e.to_u32(&v), e.to_u32(&w), "sorts disagree at n={n}");
-            (n, radix, bitonic)
-        })
-        .collect()
+/// primitives. Returns `[radix_count, bitonic_count]`.
+pub fn sorts_point(e: &mut ScanEnv, n: usize) -> ScanResult<[u64; 2]> {
+    let data = random_u32s(n, 13);
+    let v = e.from_u32(&data)?;
+    let radix = split_radix_sort(e, &v, 32)?;
+    let w = e.from_u32(&data)?;
+    let bitonic = bitonic_sort(e, &w)?;
+    assert_eq!(e.to_u32(&v), e.to_u32(&w), "sorts disagree at n={n}");
+    Ok([radix, bitonic])
 }
 
 /// Supplementary table (not in the paper): every remaining primitive vs its
-/// scalar baseline at the headline configuration.
-/// Returns rows of `(name, vector_count, baseline_count)`.
-pub fn primitives_table(n: usize) -> Vec<(&'static str, u64, u64)> {
-    use rvv_isa::Sew;
+/// scalar baseline at the headline configuration. Returns `[vector_count,
+/// baseline_count]` for `p_add`, `p_select`, `enumerate` and `permute`, in
+/// that order.
+pub fn primitives_point(e: &mut ScanEnv, n: usize) -> ScanResult<[u64; 8]> {
     let data = random_u32s(n, 14);
     let bits: Vec<u32> = data.iter().map(|x| x & 1).collect();
-    let mut rows = Vec::new();
-    let mut e = paper_env();
 
-    let v = e.from_u32(&data).expect("alloc");
-    let ours = primitives::p_add(&mut e, &v, 7).expect("p_add");
-    let w = e.from_u32(&data).expect("alloc");
-    let base = baseline::p_add(&mut e, &w, 7).expect("baseline");
-    rows.push(("p_add", ours, base));
+    let v = e.from_u32(&data)?;
+    let p_add = primitives::p_add(e, &v, 7)?;
+    let w = e.from_u32(&data)?;
+    let p_add_base = baseline::p_add(e, &w, 7)?;
 
-    let f = e.from_u32(&bits).expect("alloc");
-    let a = e.from_u32(&data).expect("alloc");
-    let b = e.from_u32(&data).expect("alloc");
-    let d = e.alloc(Sew::E32, n).expect("alloc");
-    let ours = primitives::select(&mut e, &f, &a, &b, &d).expect("select");
-    let base = baseline::select(&mut e, &f, &a, &b, &d).expect("baseline");
-    rows.push(("p_select", ours, base));
+    let f = e.from_u32(&bits)?;
+    let a = e.from_u32(&data)?;
+    let b = e.from_u32(&data)?;
+    let d = e.alloc(Sew::E32, n)?;
+    let select = primitives::select(e, &f, &a, &b, &d)?;
+    let select_base = baseline::select(e, &f, &a, &b, &d)?;
 
-    let (_, ours) = primitives::enumerate(&mut e, &f, true, &d).expect("enumerate");
-    let (_, base) = baseline::enumerate(&mut e, &f, true, &d).expect("baseline");
-    rows.push(("enumerate", ours, base));
+    let (_, enumerate) = primitives::enumerate(e, &f, true, &d)?;
+    let (_, enumerate_base) = baseline::enumerate(e, &f, true, &d)?;
 
     // A valid permutation: reverse.
     let idx: Vec<u32> = (0..n as u32).rev().collect();
-    let iv = e.from_u32(&idx).expect("alloc");
-    let ours = primitives::permute(&mut e, &a, &iv, &d).expect("permute");
-    let base = baseline::permute(&mut e, &a, &iv, &d).expect("baseline");
-    rows.push(("permute", ours, base));
+    let iv = e.from_u32(&idx)?;
+    let permute = primitives::permute(e, &a, &iv, &d)?;
+    let permute_base = baseline::permute(e, &a, &iv, &d)?;
 
-    rows
+    Ok([
+        p_add,
+        p_add_base,
+        select,
+        select_base,
+        enumerate,
+        enumerate_base,
+        permute,
+        permute_base,
+    ])
 }
 
-/// Supplementary sensitivity study: segmented-scan cost vs segment-head
-/// density. The vectorized kernel's work is density-independent (the
-/// ladder always runs ⌈lg vl⌉ rounds); the scalar baseline pays one reset
-/// per head. Returns `(heads_per_1000, vector_count, baseline_count)`.
-pub fn density_sweep(n: usize) -> Vec<(u32, u64, u64)> {
+/// Supplementary sensitivity study at one segment-head density (heads per
+/// 1000 elements). The vectorized kernel's work is density-independent
+/// (the ladder always runs ⌈lg vl⌉ rounds); the scalar baseline pays one
+/// reset per head. Returns `[vector_count, baseline_count]`.
+pub fn density_point(e: &mut ScanEnv, n: usize, per_mille: u32) -> ScanResult<[u64; 2]> {
     use rand::prelude::*;
-    [1u32, 10, 50, 200, 500, 1000]
-        .into_iter()
-        .map(|per_mille| {
-            let mut rng = StdRng::seed_from_u64(15 + per_mille as u64);
-            let data = random_u32s(n, 15);
-            let mut flags: Vec<u32> = (0..n)
-                .map(|_| u32::from(rng.random_range(0..1000u32) < per_mille))
-                .collect();
-            if let Some(f) = flags.first_mut() {
-                *f = 1;
-            }
-            let mut e = paper_env();
-            let v = e.from_u32(&data).expect("alloc");
-            let f = e.from_u32(&flags).expect("alloc");
-            let ours = primitives::seg_plus_scan(&mut e, &v, &f).expect("seg scan");
-            let w = e.from_u32(&data).expect("alloc");
-            let base = baseline::seg_plus_scan(&mut e, &w, &f).expect("baseline");
-            (per_mille, ours, base)
-        })
-        .collect()
+    let mut rng = StdRng::seed_from_u64(15 + per_mille as u64);
+    let data = random_u32s(n, 15);
+    let mut flags: Vec<u32> = (0..n)
+        .map(|_| u32::from(rng.random_range(0..1000u32) < per_mille))
+        .collect();
+    if let Some(f) = flags.first_mut() {
+        *f = 1;
+    }
+    let v = e.from_u32(&data)?;
+    let f = e.from_u32(&flags)?;
+    let ours = primitives::seg_plus_scan(e, &v, &f)?;
+    let w = e.from_u32(&data)?;
+    let base = baseline::seg_plus_scan(e, &w, &f)?;
+    Ok([ours, base])
+}
+
+/// The instruction classes [`class_mix_point`] reports, in its order.
+pub const CLASSES: [InstrClass; 8] = [
+    InstrClass::VectorAlu,
+    InstrClass::VectorPerm,
+    InstrClass::VectorMask,
+    InstrClass::VectorMem,
+    InstrClass::VectorCfg,
+    InstrClass::ScalarAlu,
+    InstrClass::ScalarMem,
+    InstrClass::ScalarCtrl,
+];
+
+/// Per-class dynamic instruction breakdown of one segmented scan at the
+/// environment's LMUL: where the LMUL=8 instructions go. Returns the
+/// total, then the count of each of [`CLASSES`].
+pub fn class_mix_point(e: &mut ScanEnv, n: usize) -> ScanResult<[u64; 9]> {
+    let data = random_u32s(n, 77);
+    let flags = random_head_flags(n, 77);
+    let v = e.from_u32(&data)?;
+    let f = e.from_u32(&flags)?;
+    let before = e.machine().counters.clone();
+    primitives::seg_plus_scan(e, &v, &f)?;
+    let d = e.machine().counters.since(&before);
+    let mut mix = [0; 9];
+    mix[0] = d.total();
+    for (m, c) in mix[1..].iter_mut().zip(CLASSES) {
+        *m = d.class(c);
+    }
+    Ok(mix)
+}
+
+/// Elements in a traced profiling launch.
+pub const PROFILE_N: usize = 4096;
+
+/// One traced segmented-scan launch for the spill profiles: values
+/// `i % 1000`, a segment head every 64 elements.
+pub fn seg_scan_profile_point(e: &mut ScanEnv) -> ScanResult<()> {
+    let data: Vec<u32> = (0..PROFILE_N as u32).map(|i| i % 1000).collect();
+    let flags: Vec<u32> = (0..PROFILE_N).map(|i| u32::from(i % 64 == 0)).collect();
+    let v = e.from_u32(&data)?;
+    let f = e.from_u32(&flags)?;
+    primitives::seg_plus_scan(e, &v, &f).map(drop)
+}
+
+/// The unsegmented counterpart of [`seg_scan_profile_point`]: the scan
+/// has three live values, so the spill detector should find no stack
+/// traffic at any LMUL.
+pub fn scan_profile_point(e: &mut ScanEnv) -> ScanResult<()> {
+    let data: Vec<u32> = (0..PROFILE_N as u32).map(|i| i % 1000).collect();
+    let v = e.from_u32(&data)?;
+    primitives::plus_scan(e, &v).map(drop)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const SMALL: [usize; 2] = [100, 1000];
-
-    #[test]
-    fn table2_shape_padd_speedup_grows_past_10x() {
-        let rows = table2(&SMALL);
-        assert!(rows[0].speedup() > 5.0, "{rows:?}");
-        assert!(rows[1].speedup() > 15.0, "{rows:?}");
-        assert!(rows[1].speedup() > rows[0].speedup());
-    }
-
-    #[test]
-    fn table3_shape_scan_beats_baseline() {
-        let rows = table3(&SMALL);
-        for r in &rows {
-            assert!(r.speedup() > 2.0, "{rows:?}");
-        }
-    }
-
-    #[test]
-    fn table4_shape_seg_scan_beats_baseline() {
-        let rows = table4(&SMALL);
-        for r in &rows {
-            assert!(r.speedup() > 3.0, "{rows:?}");
-        }
-    }
-
-    #[test]
-    fn table5_6_shape_lmul8_anomaly() {
-        let t5 = table5(&[100, 10_000]);
-        let small = t5[0].1;
-        let large = t5[1].1;
-        // Paper's anomaly: at N=100, LMUL=8 is *slower* than LMUL=1; by
-        // N=10⁴ it is faster.
-        assert!(small[3] > small[0], "small-N anomaly missing: {small:?}");
-        assert!(large[3] < large[0], "large-N LMUL win missing: {large:?}");
-        // Ratios decrease with LMUL (Table 6).
-        let t6 = table6(&t5);
-        let (_, ratios) = t6[1];
-        assert!(ratios[0] > ratios[1] && ratios[1] > ratios[2], "{ratios:?}");
-        // And m2/m4 land near the paper's 0.87 / 0.77.
-        assert!((ratios[0] - 0.87).abs() < 0.06, "{ratios:?}");
-        assert!((ratios[1] - 0.77).abs() < 0.06, "{ratios:?}");
-    }
-
-    #[test]
-    fn table7_figure5_shape_elementwise_scales_scan_does_not() {
-        let rows = figure5(10_000);
-        let (_, seg8, padd8, ideal8) = rows[3];
-        assert!((ideal8 - 8.0).abs() < 1e-9);
-        // p_add scales nearly ideally with VLEN; the scan falls well short
-        // (paper: 4.65x at vlen=1024).
-        assert!(padd8 > 6.0, "{rows:?}");
-        assert!(seg8 < padd8, "{rows:?}");
-        assert!(seg8 > 2.0, "{rows:?}");
-    }
-
-    #[test]
-    fn scan_lmul_sweep_shape() {
-        let rows = scan_lmul_sweep(100_000);
-        // No spilling: larger LMUL strictly reduces the count.
-        assert!(rows[3].1 < rows[2].1 && rows[2].1 < rows[1].1 && rows[1].1 < rows[0].1);
-        // Abstract claim: LMUL tuning lifts the scan speedup past 15x.
-        let m8_speedup = rows[3].2 as f64 / rows[3].1 as f64;
-        assert!(m8_speedup > 15.0, "{m8_speedup}");
-    }
-
-    #[test]
-    fn enumerate_ablation_viota_wins() {
-        for (_, viota, generic) in ablation_enumerate(&SMALL) {
-            assert!(viota < generic);
-        }
-    }
 
     #[test]
     fn exclusive_scan_costs_about_the_same() {
@@ -564,44 +375,5 @@ mod tests {
             ratio < 1.25,
             "exclusive scan should cost ~1 slide more per strip: {ratio}"
         );
-    }
-
-    #[test]
-    fn segdesc_conversions_never_cheaper_than_flags() {
-        for (_, direct, lens, ptrs) in ablation_segdesc(&SMALL) {
-            assert!(lens >= direct && ptrs >= direct);
-            assert!(ptrs <= lens, "pointer form skips the exclusive scan");
-        }
-    }
-
-    #[test]
-    fn vla_beats_vls_on_ragged_sizes() {
-        let rows = ablation_vla_vls(&[13, 100]);
-        for &(n, vla, vls, _, _) in &rows {
-            assert!(
-                vls > vla,
-                "VLS must pay for the remainder at n={n}: {vls} vs {vla}"
-            );
-        }
-    }
-
-    #[test]
-    fn primitives_table_all_vectorized_win() {
-        for (name, ours, base) in primitives_table(2000) {
-            assert!(ours < base, "{name}: {ours} !< {base}");
-        }
-    }
-
-    #[test]
-    fn density_does_not_move_the_vector_cost() {
-        let rows = density_sweep(5000);
-        let v_min = rows.iter().map(|r| r.1).min().unwrap();
-        let v_max = rows.iter().map(|r| r.1).max().unwrap();
-        assert!(
-            v_max - v_min <= v_min / 20,
-            "vector cost should be density-flat: {rows:?}"
-        );
-        // The scalar baseline grows with density (one reset per head).
-        assert!(rows.last().unwrap().2 > rows.first().unwrap().2);
     }
 }

@@ -1,23 +1,23 @@
 //! Shared infrastructure for the experiment harness.
 //!
-//! Each table and figure of the paper's evaluation (§6) has a binary in
-//! `src/bin/` that regenerates it on the simulated machine and prints the
-//! measured rows next to the paper's published numbers. The workloads,
-//! environment construction, and table formatting live here so every
-//! experiment is driven identically.
+//! Every table, figure and ablation of the paper's evaluation (§6) is one
+//! row of the reproduction [`manifest`]. The `repro` binary measures the
+//! rows on the simulated machine and prints them next to the paper's
+//! published numbers; its output at full size is `results/full_run.txt`.
+//! The workloads, environment construction, argument parsing and table
+//! formatting live here so every experiment is driven identically.
 //!
-//! Run e.g. `cargo run --release -p scanvec-bench --bin table4`.
-//! Every binary accepts `--max-n <N>` to cap the sweep (the full 10⁶ rows
-//! simulate a few hundred million instructions and take a few seconds
-//! each).
+//! Run e.g. `cargo run --release -p scanvec-bench --bin repro -- table4`.
+//! `--max-n <N>` caps the sweep (the full 10⁶ rows simulate a few hundred
+//! million instructions).
 
 #![forbid(unsafe_code)]
 
 pub mod experiments;
+pub mod manifest;
 pub mod sweep;
 
 use rand::prelude::*;
-use rvv_asm::SpillProfile;
 use rvv_isa::Lmul;
 use scanvec::{EnvConfig, ScanEnv};
 
@@ -29,12 +29,6 @@ pub const PAPER_SIZES: [usize; 5] = [100, 1_000, 10_000, 100_000, 1_000_000];
 pub fn random_u32s(n: usize, seed: u64) -> Vec<u32> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(|_| rng.random()).collect()
-}
-
-/// Deterministic random values bounded below `limit`.
-pub fn random_bounded(n: usize, limit: u32, seed: u64) -> Vec<u32> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..n).map(|_| rng.random_range(0..limit)).collect()
 }
 
 /// Head-flag workload for the segmented experiments: heads drawn with
@@ -68,46 +62,62 @@ pub fn env_with(vlen: u32, lmul: Lmul) -> ScanEnv {
     ScanEnv::new(EnvConfig {
         vlen,
         lmul,
-        spill_profile: SpillProfile::llvm14(),
-        mem_bytes: 192 << 20,
+        ..EnvConfig::paper_default()
     })
 }
 
-/// Environment with an explicit spill profile (for the ablations).
-pub fn env_with_profile(vlen: u32, lmul: Lmul, profile: SpillProfile) -> ScanEnv {
-    ScanEnv::new(EnvConfig {
-        vlen,
-        lmul,
-        spill_profile: profile,
-        mem_bytes: 192 << 20,
-    })
+/// Report a usage error on stderr and exit 2. A malformed command line
+/// is the operator's mistake, not a harness bug, and scripts key on the
+/// exit code.
+pub fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2)
+}
+
+/// The value after `name` on the command line; `None` when `name` is
+/// absent. A `name` with nothing after it is a usage error.
+fn arg_value(name: &str) -> Option<String> {
+    let mut args = std::env::args().skip_while(|a| a != name);
+    args.next()?;
+    let value = args.next();
+    Some(value.unwrap_or_else(|| usage_error(&format!("{name} takes a value"))))
+}
+
+/// The command line's positional arguments, after checking its flags:
+/// each flag in `valued` takes the next argument as its value, and any
+/// other `--` argument is a usage error that prints `usage`.
+pub fn positional_args(valued: &[&str], usage: &str) -> Vec<String> {
+    let mut positional = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        if valued.contains(&a.as_str()) {
+            if args.next().is_none() {
+                usage_error(&format!("{a} takes a value\n{usage}"));
+            }
+        } else if a.starts_with("--") {
+            usage_error(&format!("unknown argument `{a}`\n{usage}"));
+        } else {
+            positional.push(a);
+        }
+    }
+    positional
 }
 
 /// Parse `--max-n <N>` from the command line; defaults to 10⁶ (the full
 /// paper sweep).
 pub fn max_n_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--max-n" {
-            return w[1].parse().expect("--max-n takes an integer");
-        }
-    }
-    1_000_000
+    num_arg("--max-n").map_or(1_000_000, |n| usize::try_from(n).unwrap_or(usize::MAX))
 }
 
 /// Parse `--threads <N>` from the command line; defaults to 1 (serial).
-/// Every ported binary runs its jobs through `rvv-batch` at this worker
-/// count; the engine guarantees the output is identical at any value.
+/// Every binary runs its jobs through `rvv-batch` at this worker count;
+/// the engine guarantees the output is identical at any value.
 pub fn threads_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--threads" {
-            let t: usize = w[1].parse().expect("--threads takes an integer");
-            assert!(t >= 1, "--threads must be at least 1");
-            return t;
-        }
+    match num_arg("--threads").map(usize::try_from) {
+        None => 1,
+        Some(Ok(0)) => usage_error("--threads must be at least 1"),
+        Some(t) => t.unwrap_or_else(|_| usage_error("--threads is too large")),
     }
-    1
 }
 
 /// Parse `--cost-preset <name>` from the command line: the cycle-model
@@ -115,23 +125,14 @@ pub fn threads_arg() -> usize {
 /// jobs. `None` when absent — cost modeling is strictly opt-in, so the
 /// default run stays count-only and byte-identical to earlier releases.
 pub fn cost_preset_arg() -> Option<rvv_cost::CostModel> {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--cost-preset" {
-            // Usage errors exit 2 (the usage-error convention) instead of
-            // panicking: a typo'd preset is the operator's mistake, not a
-            // harness bug, and scripts key on the exit code.
-            return Some(rvv_cost::CostModel::preset(&w[1]).unwrap_or_else(|| {
-                eprintln!(
-                    "unknown --cost-preset `{}` (expected one of: {})",
-                    w[1],
-                    rvv_cost::CostModel::PRESETS.join(", ")
-                );
-                std::process::exit(2)
-            }));
-        }
-    }
-    None
+    arg_value("--cost-preset").map(|v| {
+        rvv_cost::CostModel::preset(&v).unwrap_or_else(|| {
+            usage_error(&format!(
+                "unknown --cost-preset `{v}` (expected one of: {})",
+                rvv_cost::CostModel::PRESETS.join(", ")
+            ))
+        })
+    })
 }
 
 /// Is the bare flag `name` (e.g. `--keep-going`) present on the command
@@ -140,47 +141,30 @@ pub fn flag_arg(name: &str) -> bool {
     std::env::args().any(|a| a == name)
 }
 
-/// Parse `--exec-engine <plan|legacy|fused>`; `None` when the option is
-/// absent (the engine default, `plan`, applies).
+/// Parse `--exec-engine <plan|legacy|fused>` (case-insensitive); `None`
+/// when the option is absent (the engine default, `plan`, applies).
 pub fn exec_engine_arg() -> Option<scanvec::ExecEngine> {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--exec-engine" {
-            // Case-insensitive (`ExecEngine::parse` lowercases); unknown
-            // names exit 2 listing the valid set, like `--cost-preset`.
-            return Some(scanvec::ExecEngine::parse(&w[1]).unwrap_or_else(|| {
-                let valid: Vec<String> = scanvec::ExecEngine::ALL
-                    .iter()
-                    .map(|e| format!("{e:?}").to_ascii_lowercase())
-                    .collect();
-                eprintln!(
-                    "unknown --exec-engine `{}` (expected one of: {})",
-                    w[1],
-                    valid.join(", ")
-                );
-                std::process::exit(2)
-            }));
-        }
-    }
-    None
+    arg_value("--exec-engine").map(|v| {
+        scanvec::ExecEngine::parse(&v).unwrap_or_else(|| {
+            let valid: Vec<&str> = scanvec::ExecEngine::ALL.iter().map(|e| e.name()).collect();
+            usage_error(&format!(
+                "unknown --exec-engine `{v}` (expected one of: {})",
+                valid.join(", ")
+            ))
+        })
+    })
 }
 
 /// Parse `name <N>` (decimal or `0x…` hex) from the command line; `None`
 /// when the option is absent.
 pub fn num_arg(name: &str) -> Option<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == name {
-            let t = &w[1];
-            let parsed = if let Some(hex) = t.strip_prefix("0x") {
-                u64::from_str_radix(hex, 16)
-            } else {
-                t.parse()
-            };
-            return Some(parsed.unwrap_or_else(|_| panic!("{name} takes an integer")));
-        }
-    }
-    None
+    arg_value(name).map(|v| {
+        let parsed = match v.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => v.parse(),
+        };
+        parsed.unwrap_or_else(|_| usage_error(&format!("{name} takes an integer, got `{v}`")))
+    })
 }
 
 /// The paper's sizes, capped by `--max-n`.
@@ -189,42 +173,32 @@ pub fn sweep_sizes() -> Vec<usize> {
     PAPER_SIZES.iter().copied().filter(|&n| n <= cap).collect()
 }
 
-/// Render a table: header row plus aligned columns.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
-    println!("\n## {title}\n");
-    let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (i, cell) in row.iter().enumerate() {
-            widths[i] = widths[i].max(cell.len());
+/// Render a table: a `## title` line, then the header row and aligned
+/// columns.
+pub fn table(title: &str, headers: &[&str], rows: &[Vec<String>]) -> String {
+    let headers: Vec<String> = headers.iter().map(|h| h.to_string()).collect();
+    let mut widths = vec![0; headers.len()];
+    for row in std::iter::once(&headers).chain(rows) {
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = cell.len().max(*w);
         }
     }
-    let fmt_row = |cells: &[String]| {
+    let line = |cells: &[String]| {
         let mut s = String::from("|");
-        for (i, c) in cells.iter().enumerate() {
-            s.push_str(&format!(" {:>width$} |", c, width = widths[i]));
+        for (cell, &width) in cells.iter().zip(&widths) {
+            s.push_str(&format!(" {cell:>width$} |"));
         }
-        s
+        s + "\n"
     };
-    let headers: Vec<String> = headers.iter().map(|s| s.to_string()).collect();
-    println!("{}", fmt_row(&headers));
-    let mut sep = String::from("|");
+    let mut out = format!("\n## {title}\n\n{}|", line(&headers));
     for w in &widths {
-        sep.push_str(&format!("{}|", "-".repeat(w + 2)));
+        out.push_str(&format!("{}|", "-".repeat(w + 2)));
     }
-    println!("{sep}");
+    out.push('\n');
     for row in rows {
-        println!("{}", fmt_row(row));
+        out.push_str(&line(row));
     }
-}
-
-/// Format a speedup to the paper's style.
-pub fn fmt_speedup(baseline: u64, ours: u64) -> String {
-    format!("{:.3}", baseline as f64 / ours as f64)
-}
-
-/// Format a ratio.
-pub fn fmt_ratio(x: f64) -> String {
-    format!("{x:.4}")
+    out
 }
 
 #[cfg(test)]
@@ -240,11 +214,6 @@ mod tests {
         assert!(f.iter().all(|&x| x <= 1));
         assert!(f.iter().filter(|&&x| x == 1).count() > 5);
         assert!(random_head_flags(0, 1).is_empty());
-    }
-
-    #[test]
-    fn bounded_workload_respects_limit() {
-        assert!(random_bounded(500, 64, 9).iter().all(|&x| x < 64));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The full-evaluation sweep as a batch: every `run_all` table point as an
-//! independent [`BatchJob`], plus the decoder that folds the in-order
-//! reports back into the table structures the printers consume.
+//! independent [`BatchJob`], plus the decoder that hands the in-order
+//! reports to the [`crate::manifest`] rows that render them.
 //!
 //! The job list is a pure function of [`SweepShape`], so `run_all` can
 //! build it twice — once for the serial reference, once for the parallel
@@ -8,7 +8,8 @@
 //! byte for byte.
 
 use crate::experiments::{self, Pair};
-use rvv_batch::{BatchJob, JournalPayload};
+use crate::manifest::{self, Point, Run, Runs, Sizes};
+use rvv_batch::{BatchJob, JobReport, JournalPayload};
 use rvv_ckpt::{ByteReader, ByteWriter, CodecError};
 use rvv_isa::Lmul;
 use scanvec::{EnvConfig, ScanEnv, ScanResult};
@@ -122,31 +123,23 @@ impl JournalPayload for Measurement {
     }
 }
 
-/// The decoded sweep, one field per printed table (Table 6 and Figure 5
-/// are derived from these by the printers).
-#[derive(Debug)]
-pub struct SweepTables {
-    /// Table 1 rows.
-    pub t1: Vec<Pair>,
-    /// Table 2 rows.
-    pub t2: Vec<Pair>,
-    /// Table 3 rows.
-    pub t3: Vec<Pair>,
-    /// Table 4 rows.
-    pub t4: Vec<Pair>,
-    /// Table 5 rows: `(n, counts at m1/m2/m4/m8)`.
-    pub t5: Vec<(usize, [u64; 4])>,
-    /// Table 7 rows: `(vlen, seg_count, p_add_count)`.
-    pub t7: Vec<(u32, u64, u64)>,
-    /// Scan-LMUL rows: `(lmul_regs, scan_count, baseline_count)`.
-    pub scan_lmul: Vec<(u32, u64, u64)>,
+impl Measurement {
+    /// The point the manifest row of this measurement reads: its counts
+    /// in the order the row's point function returns them.
+    pub fn counts(&self) -> Point {
+        match *self {
+            Measurement::Pair(p) => p.into(),
+            Measurement::Seg { count, checksum } => vec![count, checksum],
+            Measurement::Vlen { seg, padd } => vec![seg, padd],
+            Measurement::Scan { ours, base } => vec![ours, base],
+        }
+    }
 }
 
 type PairPoint = fn(&mut ScanEnv, usize) -> ScanResult<Pair>;
 
 /// Every point of the full evaluation as an independent job, in table
-/// order. Deterministic in `shape`; [`decode_sweep`] expects exactly this
-/// layout.
+/// order. Deterministic in `shape`; [`runs`] expects exactly this layout.
 pub fn sweep_jobs(shape: &SweepShape) -> Vec<BatchJob<Measurement>> {
     let mut jobs = Vec::new();
     let paper = EnvConfig::paper_default();
@@ -214,84 +207,56 @@ pub fn sweep_jobs(shape: &SweepShape) -> Vec<BatchJob<Measurement>> {
     jobs
 }
 
-/// Fold the in-order reports of a [`sweep_jobs`] batch back into tables.
+/// The manifest rows the sweep renders, in job order. Table 6 and
+/// Figure 5 have no jobs of their own: they render Table 5's and Table 7's.
+pub const SWEEP_ROWS: [&str; 9] = [
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "figure5",
+    "ablation_scan_lmul",
+];
+
+/// Hand the in-order reports of a [`sweep_jobs`] batch to the
+/// [`SWEEP_ROWS`] as their runs. The rows with one size run at `n7`.
 ///
-/// Panics on any failed job and re-asserts Table 5's cross-LMUL result
-/// equality from the point checksums — the same invariant the serial
-/// [`experiments::table5_with_profile`] enforces in-process.
-pub fn decode_sweep(
-    shape: &SweepShape,
-    reports: &[rvv_batch::JobReport<Measurement>],
-) -> SweepTables {
-    let mut it = reports.iter();
-    let mut next = |what: &str| -> Measurement {
-        let r = it
-            .next()
-            .unwrap_or_else(|| panic!("sweep too short at {what}"));
-        *r.output()
+/// Panics on any failed job or on a batch that does not match `shape`.
+pub fn runs(shape: &SweepShape, reports: &[JobReport<Measurement>]) -> Runs {
+    let mut points = reports.iter().map(|r| {
+        r.output()
             .unwrap_or_else(|| panic!("{} failed: {:?}", r.name, r.outcome))
-    };
-    let mut pairs = |table: &str| -> Vec<Pair> {
-        shape
-            .sizes
-            .iter()
-            .map(|_| match next(table) {
-                Measurement::Pair(p) => p,
-                m => panic!("{table}: expected a pair, got {m:?}"),
-            })
-            .collect()
-    };
-    let t1 = pairs("table1");
-    let t2 = pairs("table2");
-    let t3 = pairs("table3");
-    let t4 = pairs("table4");
-    let t5 = shape
-        .sizes
-        .iter()
-        .map(|&n| {
-            let mut counts = [0u64; 4];
-            let mut reference: Option<u64> = None;
-            for c in &mut counts {
-                match next("table5") {
-                    Measurement::Seg { count, checksum } => {
-                        *c = count;
-                        match reference {
-                            None => reference = Some(checksum),
-                            Some(r) => {
-                                assert_eq!(checksum, r, "LMUL changed the result at n={n}")
-                            }
-                        }
-                    }
-                    m => panic!("table5: expected a seg point, got {m:?}"),
-                }
-            }
-            (n, counts)
-        })
-        .collect();
-    let t7 = [128u32, 256, 512, 1024]
-        .into_iter()
-        .map(|vlen| match next("table7") {
-            Measurement::Vlen { seg, padd } => (vlen, seg, padd),
-            m => panic!("table7: expected a vlen point, got {m:?}"),
-        })
-        .collect();
-    let scan_lmul = Lmul::ALL
-        .into_iter()
-        .map(|lmul| match next("scan_lmul") {
-            Measurement::Scan { ours, base } => (lmul.regs(), ours, base),
-            m => panic!("scan_lmul: expected a scan point, got {m:?}"),
-        })
-        .collect();
-    assert!(it.next().is_none(), "sweep longer than its shape");
-    SweepTables {
-        t1,
-        t2,
-        t3,
-        t4,
-        t5,
-        t7,
-        scan_lmul,
-    }
+            .counts()
+    });
+    let runs = SWEEP_ROWS.map(|name| {
+        let row = manifest::row(name).expect("a manifest row");
+        let sizes = match row.sizes {
+            Sizes::Upto(..) => shape.sizes.clone(),
+            Sizes::Capped(_) => vec![shape.n7],
+        };
+        let count = (row.jobs)(&sizes).len();
+        let points: Vec<Point> = points.by_ref().take(count).collect();
+        assert_eq!(points.len(), count, "sweep too short at {name}");
+        let profiles = Vec::new();
+        let run = Run {
+            sizes,
+            points,
+            profiles,
+        };
+        (row.name, run)
+    });
+    assert!(points.next().is_none(), "sweep longer than its shape");
+    runs.into_iter().collect()
+}
+
+/// Render a fully successful sweep as the manifest sections of the
+/// [`SWEEP_ROWS`].
+pub fn render(shape: &SweepShape, reports: &[JobReport<Measurement>]) -> String {
+    let rows = SWEEP_ROWS.map(|name| manifest::row(name).expect("a manifest row"));
+    manifest::render(&rows, &runs(shape, reports)).0
 }
 
 #[cfg(test)]
@@ -307,18 +272,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_matches_serial_experiments() {
+    fn sweep_measures_the_manifest_points() {
         let shape = small();
-        let result = BatchRunner::new(1).run(sweep_jobs(&shape));
+        let runner = BatchRunner::new(1);
+        let result = runner.run(sweep_jobs(&shape));
         assert!(result.all_ok());
-        let tables = decode_sweep(&shape, &result.reports);
-        assert_eq!(tables.t1, experiments::table1(&shape.sizes));
-        assert_eq!(tables.t2, experiments::table2(&shape.sizes));
-        assert_eq!(tables.t3, experiments::table3(&shape.sizes));
-        assert_eq!(tables.t4, experiments::table4(&shape.sizes));
-        assert_eq!(tables.t5, experiments::table5(&shape.sizes));
-        assert_eq!(tables.t7, experiments::table7(shape.n7));
-        assert_eq!(tables.scan_lmul, experiments::scan_lmul_sweep(shape.n7));
+        let swept = runs(&shape, &result.reports);
+        let rows = SWEEP_ROWS.map(|name| manifest::row(name).unwrap());
+        let measured = manifest::measure(&rows, shape.n7, &runner);
+        for name in SWEEP_ROWS {
+            assert_eq!(swept[name].sizes, measured[name].sizes, "{name}");
+            assert_eq!(swept[name].points, measured[name].points, "{name}");
+        }
     }
 
     #[test]
