@@ -264,9 +264,9 @@ fn profile_stem(row: &str, lmul: Lmul) -> String {
 
 const VLENS: [u32; 4] = [128, 256, 512, 1024];
 const DENSITIES: [u32; 6] = [1, 10, 50, 200, 500, 1000];
-const PAPER: Sizes = Sizes::Upto(&PAPER_SIZES, 0);
+const PAPER_SWEEP: Sizes = Sizes::Upto(&PAPER_SIZES, 0);
 
-fn paper() -> [EnvConfig; 1] {
+fn paper_config() -> [EnvConfig; 1] {
     [EnvConfig::paper_default()]
 }
 
@@ -437,9 +437,9 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "table1",
         section: "§6.2, Table 1",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::table1_point),
+        jobs: |s| grid(s, &paper_config(), experiments::table1_point),
         profile: None,
         paper: &[
             &[23_988.0, 17_158.0],
@@ -473,9 +473,9 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "table2",
         section: "§6.2, Table 2",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::table2_point),
+        jobs: |s| grid(s, &paper_config(), experiments::table2_point),
         profile: None,
         paper: &[
             &[66.0, 632.0],
@@ -503,9 +503,9 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "table3",
         section: "§6.2, Table 3",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::table3_point),
+        jobs: |s| grid(s, &paper_config(), experiments::table3_point),
         profile: None,
         paper: &[
             &[311.0, 626.0],
@@ -530,9 +530,9 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "table4",
         section: "§6.2, Table 4",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::table4_point),
+        jobs: |s| grid(s, &paper_config(), experiments::table4_point),
         profile: None,
         paper: &[
             &[331.0, 1_124.0],
@@ -555,7 +555,7 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "table5",
         section: "§6.3, Table 5",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: None,
         jobs: |s| {
             let configs = lmuls(SpillProfile::llvm14());
@@ -608,7 +608,7 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "table6",
         section: "§6.3, Table 6",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: Some("table5"),
         jobs: |_| Vec::new(),
         profile: None,
@@ -737,7 +737,7 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "ablation_spill",
         section: "§6.3, ablation",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: Some("table5"),
         jobs: |s| {
             let configs = lmuls(SpillProfile::ideal());
@@ -794,9 +794,9 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "ablation_enumerate",
         section: "§4.4, ablation",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::enumerate_point),
+        jobs: |s| grid(s, &paper_config(), experiments::enumerate_point),
         profile: None,
         paper: &[],
         title: "Ablation — enumerate via viota (paper §4.4) vs generic exclusive scan",
@@ -853,9 +853,9 @@ pub static MANIFEST: &[Row] = &[
     Row {
         name: "ablation_segdesc",
         section: "§5, ablation",
-        sizes: PAPER,
+        sizes: PAPER_SWEEP,
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::segdesc_point),
+        jobs: |s| grid(s, &paper_config(), experiments::segdesc_point),
         profile: None,
         paper: &[],
         title: "Ablation — segment descriptor: head-flags vs lengths vs head-pointers",
@@ -891,7 +891,7 @@ pub static MANIFEST: &[Row] = &[
         // ("when it processes 13 elements...").
         sizes: Sizes::Upto(&[13, 31, 32, 100, 1_000, 10_000, 100_001], 100),
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::vla_vls_point),
+        jobs: |s| grid(s, &paper_config(), experiments::vla_vls_point),
         profile: None,
         paper: &[],
         title: "Ablation — VLA (vsetvli) vs VLS (fixed width + remainder loop), p_add",
@@ -933,7 +933,7 @@ pub static MANIFEST: &[Row] = &[
         // Bitonic is O(n·lg²n) primitive launches; the sweep stops at 10⁵.
         sizes: Sizes::Upto(&[100, 1_000, 10_000, 100_000], 0),
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::sorts_point),
+        jobs: |s| grid(s, &paper_config(), experiments::sorts_point),
         profile: None,
         paper: &[],
         title: "Ablation — split radix sort vs bitonic network (dynamic instructions)",
@@ -957,7 +957,7 @@ pub static MANIFEST: &[Row] = &[
         section: "§6.2, supplementary",
         sizes: Sizes::Capped(100_000),
         source: None,
-        jobs: |s| grid(s, &paper(), experiments::primitives_point),
+        jobs: |s| grid(s, &paper_config(), experiments::primitives_point),
         profile: None,
         paper: &[],
         title: "Supplementary — primitive costs (N = {n}, VLEN=1024, LMUL=1)",
@@ -970,6 +970,7 @@ pub static MANIFEST: &[Row] = &[
         claim: "Every primitive's vectorized form retires fewer instructions than its\n\
                 scalar baseline.",
         holds: |m| {
+            at_least(m, 100)?;
             for p in m.points[0].chunks(2) {
                 ensure(
                     p[0] < p[1],
@@ -1012,6 +1013,7 @@ pub static MANIFEST: &[Row] = &[
         claim: "The vectorized cost stays within 5% across head densities, while the\n\
                 baseline's grows from the sparsest to the densest.",
         holds: |m| {
+            at_least(m, 100)?;
             let vector = m.points.iter().map(|p| p[0]);
             let (lo, hi) = (vector.clone().min(), vector.max());
             let (lo, hi) = (lo.expect("six densities"), hi.expect("six densities"));
@@ -1112,7 +1114,7 @@ mod tests {
 
     #[test]
     fn sizes_cap_at_max_n() {
-        assert_eq!(PAPER.at(1_000), [100, 1_000]);
+        assert_eq!(PAPER_SWEEP.at(1_000), [100, 1_000]);
         assert_eq!(Sizes::Upto(&[13, 100, 1_000], 100).at(50), [13, 100]);
         assert_eq!(Sizes::Capped(10_000).at(500), [500]);
         assert_eq!(Sizes::Capped(10_000).at(1_000_000), [10_000]);
