@@ -4,7 +4,7 @@
 //! The simulator is deterministic and the metric is architectural, so the
 //! counts must match **exactly** — any drift means generated code or
 //! counting semantics changed, which silently rewrites every table in the
-//! paper reproduction. The shape tests in `experiments.rs` catch
+//! paper reproduction. The manifest rows' shape predicates catch
 //! qualitative regressions; this one catches the quantitative ones.
 //!
 //! To regenerate after an *intentional* codegen change:
