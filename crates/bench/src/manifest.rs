@@ -341,13 +341,15 @@ fn speedup_rows<'a>(
     rows.collect()
 }
 
-fn size_labels(m: &Measured) -> Vec<String> {
-    m.sizes.iter().map(usize::to_string).collect()
+/// A row per size of `n, a, b, b / a` from `[a, b, ...]` points.
+fn speedup_body(m: &Measured) -> Vec<Vec<String>> {
+    let sizes = m.sizes.iter().map(usize::to_string);
+    speedup_rows(sizes, m.points.iter().map(Vec::as_slice))
 }
 
 /// A pair row: `[ours, baseline]` points next to the paper's pair.
 fn pair_body(m: &Measured) -> Vec<Vec<String>> {
-    let mut rows = speedup_rows(size_labels(m), m.points.iter().map(Vec::as_slice));
+    let mut rows = speedup_body(m);
     for (row, &n) in rows.iter_mut().zip(m.sizes) {
         let paper = paper_line(m, n);
         row.extend([paper[0].to_string(), paper[1].to_string()]);
@@ -801,7 +803,7 @@ pub static MANIFEST: &[Row] = &[
         paper: &[],
         title: "Ablation — enumerate via viota (paper §4.4) vs generic exclusive scan",
         headers: "N | viota | generic scan | viota advantage",
-        body: |m| speedup_rows(size_labels(m), m.points.iter().map(Vec::as_slice)),
+        body: speedup_body,
         notes: "",
         claim: "enumerate via viota retires fewer instructions than via the generic\n\
                 exclusive scan at every N.",
@@ -938,7 +940,7 @@ pub static MANIFEST: &[Row] = &[
         paper: &[],
         title: "Ablation — split radix sort vs bitonic network (dynamic instructions)",
         headers: "N | radix (32 passes) | bitonic | bitonic/radix",
-        body: |m| speedup_rows(size_labels(m), m.points.iter().map(Vec::as_slice)),
+        body: speedup_body,
         notes: "Radix does 32 passes regardless of N; bitonic pays lg²(N) stages. For\n\
                 32-bit keys that is why §4.4 builds split radix sort rather than a\n\
                 merging network.",
