@@ -147,25 +147,27 @@ fn status_text(code: u16) -> &'static str {
 }
 
 /// Write a plain-text response with extra headers (already formatted as
-/// `Name: value` lines, no trailing CRLF).
+/// `Name: value` lines, no trailing CRLF). Head and body go out in one
+/// write, so a process that dies right after a response leaves the peer
+/// the whole response or none of it, not a head without its body.
 pub fn respond_with(
     stream: &mut TcpStream,
     code: u16,
     extra_headers: &[String],
     body: &str,
 ) -> io::Result<()> {
-    let mut head = format!(
+    let mut response = format!(
         "HTTP/1.1 {code} {}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n",
         status_text(code),
         body.len()
     );
     for h in extra_headers {
-        head.push_str(h);
-        head.push_str("\r\n");
+        response.push_str(h);
+        response.push_str("\r\n");
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str("\r\n");
+    response.push_str(body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 

@@ -265,16 +265,19 @@ fn submit_response(stream: &mut TcpStream, state: &ServeState, body: &str) -> io
         Ok(s) => s,
         Err(e) => return respond(stream, 400, &format!("{e}\n")),
     };
-    match state.submit(&specs) {
-        Ok((sweep, ids)) => respond(
+    // The 202 goes out from inside the submit, before the jobs can run:
+    // a worker that finished them first (or a crash harness that aborted
+    // on them) would otherwise beat the acknowledgment to the client.
+    let mut acked = Ok(());
+    let submitted = state.submit_with_ack(&specs, |sweep, ids| {
+        acked = respond(
             stream,
             202,
-            &format!(
-                "sweep {sweep}\njobs {}..={}\n",
-                ids.first().unwrap(),
-                ids.last().unwrap()
-            ),
-        ),
+            &format!("sweep {sweep}\njobs {}..={}\n", ids[0], ids[ids.len() - 1]),
+        );
+    });
+    match submitted {
+        Ok(_) => acked,
         Err(SubmitError::Overloaded) => respond_with(
             stream,
             429,

@@ -356,6 +356,19 @@ impl ServeState {
     /// journal every submit record durably, then queue. The acknowledged
     /// ids are durable before this returns.
     pub fn submit(&self, specs: &[JobSpec]) -> Result<(u64, Vec<u64>), SubmitError> {
+        self.submit_with_ack(specs, |_, _| {})
+    }
+
+    /// [`ServeState::submit`], calling `ack(sweep, ids)` once the submit
+    /// records are durable and the sweep is visible to status queries,
+    /// but before its jobs enter the run queue. The server writes its 202
+    /// there, holding no lock: no job of the sweep can run, finish, or
+    /// trip the crash harness before the client has its acknowledgment.
+    pub fn submit_with_ack(
+        &self,
+        specs: &[JobSpec],
+        ack: impl FnOnce(u64, &[u64]),
+    ) -> Result<(u64, Vec<u64>), SubmitError> {
         if specs.is_empty() {
             return Err(SubmitError::Invalid("empty submission".to_string()));
         }
@@ -417,6 +430,7 @@ impl ServeState {
             }
         }
         self.lock(&self.sweeps).insert(sweep, ids.clone());
+        ack(sweep, &ids);
         {
             let mut queue = self.lock(&self.queue);
             for (id, spec) in ids.iter().zip(specs) {
@@ -726,6 +740,23 @@ mod tests {
         assert!(state.job_text(1).unwrap().contains("queued"));
         assert!(state.job_text(99).is_none());
         assert!(state.sweep_text(s1).unwrap().starts_with("pending 0/2"));
+    }
+
+    #[test]
+    fn the_acknowledgment_comes_before_the_jobs_can_run() {
+        let state = ServeState::new(ServeOptions::default()).unwrap();
+        let mut acked = None;
+        let (sweep, ids) = state
+            .submit_with_ack(&specs(&["p_add n=8", "p_add n=16"]), |sweep, ids| {
+                // A client polling right after its 202 finds the sweep…
+                assert_eq!(state.sweep_text(sweep).unwrap(), "pending 0/2 jobs done\n");
+                // …but no worker can have dequeued a job of it yet.
+                assert!(state.lock(&state.queue).is_empty());
+                acked = Some((sweep, ids.to_vec()));
+            })
+            .unwrap();
+        assert_eq!(acked, Some((sweep, ids)));
+        assert_eq!(state.lock(&state.queue).len(), 2);
     }
 
     #[test]
