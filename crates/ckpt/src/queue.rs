@@ -86,9 +86,11 @@ pub struct QueueRecovery {
 /// The appending side of the durable queue.
 ///
 /// `fsync_every` has the [`JournalWriter`] semantics; the serve layer
-/// uses 1 so every submit is durable before its acknowledgment goes out,
-/// and journals each sweep's submits as one batch
-/// ([`QueueJournal::submit_all`]): one write, one fsync.
+/// uses 1 so every submit is durable before its acknowledgment goes out.
+/// It journals each sweep's submits as one batch
+/// ([`QueueJournal::submit_all`]), and the done records that queue up
+/// while a commit runs as the next one ([`QueueJournal::complete_all`]):
+/// one write, one fsync each.
 #[derive(Debug)]
 pub struct QueueJournal {
     writer: JournalWriter,
@@ -251,17 +253,37 @@ impl QueueJournal {
         &mut self,
         jobs: impl IntoIterator<Item = (u64, &'a [u8])>,
     ) -> io::Result<()> {
-        let records: Vec<Vec<u8>> = jobs
-            .into_iter()
-            .map(|(id, payload)| encode_entry(TAG_SUBMIT, id, payload))
-            .collect();
-        self.writer.append_all(records.iter().map(Vec::as_slice))?;
-        Ok(())
+        self.append_all(TAG_SUBMIT, jobs)
     }
 
     /// Journal a completion, pairing a prior submit.
     pub fn complete(&mut self, id: u64, payload: &[u8]) -> io::Result<()> {
-        self.writer.append(&encode_entry(TAG_DONE, id, payload))?;
+        self.complete_all([(id, payload)])
+    }
+
+    /// Journal a batch of completions with one write and one fsync (for
+    /// `fsync_every = 1`), the done-record twin of
+    /// [`QueueJournal::submit_all`]: the same bytes as one
+    /// [`QueueJournal::complete`] per job, all durable when this returns.
+    /// A crash mid-batch replays a prefix of the batch as completed and
+    /// the rest as pending, to re-run.
+    pub fn complete_all<'a>(
+        &mut self,
+        jobs: impl IntoIterator<Item = (u64, &'a [u8])>,
+    ) -> io::Result<()> {
+        self.append_all(TAG_DONE, jobs)
+    }
+
+    fn append_all<'a>(
+        &mut self,
+        tag: u8,
+        jobs: impl IntoIterator<Item = (u64, &'a [u8])>,
+    ) -> io::Result<()> {
+        let records: Vec<Vec<u8>> = jobs
+            .into_iter()
+            .map(|(id, payload)| encode_entry(tag, id, payload))
+            .collect();
+        self.writer.append_all(records.iter().map(Vec::as_slice))?;
         Ok(())
     }
 

@@ -1,18 +1,23 @@
 //! The server proper: listener loop, connection handlers, worker pool,
-//! and the deadline supervisor — all over one [`ServeState`].
+//! committer, and the deadline supervisor — all over one [`ServeState`].
 //!
 //! Thread model: an acceptor thread blocks in `accept()` on the listener,
 //! so a connection is picked up the moment it arrives; each accepted
 //! connection gets a short-lived handler thread (one request per
-//! connection, so handlers are bounded by the socket timeout); `threads`
-//! long-lived workers drain the queue through [`execute_job`] with
-//! per-worker [`SessionPool`]s; one supervisor thread ticks the deadline
-//! registry. The thread that called [`Server::serve_until`] watches the
-//! termination predicate and the drain flag off the request path. On
-//! drain (the predicate, or `POST /shutdown`) it wakes the acceptor with
-//! one connection of its own, stops admissions, drains in-flight jobs to
-//! the journal, joins every worker, syncs, and returns `Ok(())` — exit
-//! code 0.
+//! connection, so handlers are bounded by the socket timeout), which
+//! journals a sweep's submits and writes its 202 before the jobs enter
+//! the run queue; `threads` long-lived workers drain the queue through
+//! [`execute_job`] with per-worker [`SessionPool`]s and hand each done
+//! record to the commit stage; one committer thread writes the done
+//! records queued since its last commit with one write and one fsync, and
+//! only then flips those jobs to done and releases their admission slots;
+//! one supervisor thread ticks the deadline registry. The thread that
+//! called [`Server::serve_until`] watches the termination predicate and
+//! the drain flag off the request path. On drain (the predicate, or `POST
+//! /shutdown`) it wakes the acceptor with one connection of its own, stops
+//! admissions, joins every worker once the queue is empty, then the
+//! committer once their done records are durable, syncs, and returns
+//! `Ok(())` — exit code 0.
 
 use crate::http::{read_request, respond, respond_with, Request};
 use crate::spec::JobSpec;
@@ -116,6 +121,7 @@ impl Server {
             listener,
             addr,
         } = self;
+        let committer = state.spawn_committer();
         let workers: Vec<JoinHandle<()>> = (0..state.opts.threads.max(1))
             .map(|worker| {
                 let state = Arc::clone(&state);
@@ -158,10 +164,12 @@ impl Server {
             .join()
             .unwrap_or_else(|_| Err(io::Error::other("acceptor thread panicked")))?;
         // Drain: workers exit once the queue is empty (begin_drain already
-        // woke them); handlers are short-lived by construction.
+        // woke them), then the committer once it has committed their last
+        // done records; handlers are short-lived by construction.
         for w in workers {
             let _ = w.join();
         }
+        state.join_committer(committer);
         if let Some(s) = supervisor {
             let _ = s.join();
         }
@@ -204,7 +212,8 @@ fn wake_addr(addr: SocketAddr) -> SocketAddr {
 
 /// One worker: block on the queue, honor chaos latency, quarantine
 /// breaker-open configurations, run everything else through
-/// [`execute_job`] under the deadline token, journal the result.
+/// [`execute_job`] under the deadline token, and hand the result to the
+/// commit stage.
 fn worker_loop(state: &Arc<ServeState>, worker: usize) {
     let mut pool = SessionPool::new(&state.engine);
     // Retry backoff keyed by the chaos seed (0 when quiet) and, per job,

@@ -13,6 +13,7 @@ use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// The journal tag binding a queue file to this service (see
@@ -146,6 +147,9 @@ pub struct ServeCounters {
     pub retries: AtomicU64,
     /// Done records journaled (the crash harness counts these).
     pub done_records: AtomicU64,
+    /// Done-record batches written to the journal, one write and one
+    /// fsync each.
+    pub done_commits: AtomicU64,
     /// Journal appends that failed (each one trips or re-confirms the
     /// storage breaker).
     pub journal_errors: AtomicU64,
@@ -154,6 +158,26 @@ pub struct ServeCounters {
     pub lock_poisoned: AtomicU64,
     /// Journal records quarantined by salvage during the last resume.
     pub salvaged: AtomicU64,
+}
+
+/// A finished job whose done record waits for the commit stage.
+#[derive(Debug)]
+struct Completion {
+    id: u64,
+    sweep: u64,
+    line: String,
+    attempts: u32,
+    cancelled: bool,
+}
+
+/// The done records [`ServeState::finish`] queued for the committer.
+#[derive(Debug, Default)]
+struct CommitQueue {
+    pending: Vec<Completion>,
+    /// A committer thread runs: `finish` queues instead of committing.
+    running: bool,
+    /// The committer exits once `pending` is empty.
+    stop: bool,
 }
 
 /// The shared state behind one service instance.
@@ -169,6 +193,8 @@ pub struct ServeState {
     queue: Mutex<VecDeque<QueuedJob>>,
     available: Condvar,
     journal: Option<Mutex<QueueJournal>>,
+    commits: Mutex<CommitQueue>,
+    commit_ready: Condvar,
     jobs: Mutex<BTreeMap<u64, JobStatus>>,
     sweeps: Mutex<BTreeMap<u64, Vec<u64>>>,
     breakers: Mutex<HashMap<EnvConfig, Breaker>>,
@@ -233,6 +259,8 @@ impl ServeState {
             queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
             journal,
+            commits: Mutex::new(CommitQueue::default()),
+            commit_ready: Condvar::new(),
             jobs: Mutex::new(BTreeMap::new()),
             sweeps: Mutex::new(BTreeMap::new()),
             breakers: Mutex::new(HashMap::new()),
@@ -529,17 +557,12 @@ impl ServeState {
             .retain(|(_, id, _)| *id != job_id);
     }
 
-    /// Record a finished job: journal the done record (durably), update
-    /// the tables and counters, release its admission slot — and, when the
-    /// crash harness is armed, abort the process once the configured done
-    /// record is on disk.
-    ///
-    /// Infallible by design: a failed done-record append trips the
-    /// storage breaker (new submissions shed with 503) but the in-memory
-    /// completion still lands, so in-flight work drains to clients
-    /// instead of wedging. The un-journaled completion is the safe loss:
-    /// after a crash the job replays as pending and re-runs
-    /// deterministically.
+    /// Record a finished job. What the worker's next job reads is settled
+    /// before this returns: the job's deadline is disarmed and its
+    /// configuration's breaker has seen the outcome. The done record goes
+    /// to the commit stage: queued for the committer thread while a
+    /// server runs one, committed here, durably, otherwise. Either way
+    /// the job flips to done only once its record is durable.
     pub fn finish(
         &self,
         job: &QueuedJob,
@@ -549,11 +572,62 @@ impl ServeState {
         cancelled: bool,
     ) {
         self.disarm_deadline(job.id);
+        self.note_breaker(&job.spec.config(), poisoned);
+        let done = Completion {
+            id: job.id,
+            sweep: job.sweep,
+            line,
+            attempts,
+            cancelled,
+        };
+        {
+            let mut commits = self.lock(&self.commits);
+            if commits.running {
+                commits.pending.push(done);
+                self.commit_ready.notify_one();
+                return;
+            }
+        }
+        self.commit(vec![done]);
+    }
+
+    /// The commit stage: journal `batch`'s done records with one write and
+    /// one fsync, and only then flip the jobs to `Done`, count them and
+    /// release their admission slots. When the crash harness is armed,
+    /// the batch is cut at the configured done record and the process
+    /// aborts the instant that record is durable.
+    ///
+    /// Infallible by design: a failed append trips the storage breaker
+    /// (new submissions shed with 503) but every completion in the batch
+    /// still lands in memory, so in-flight work drains to clients instead
+    /// of wedging. An un-journaled completion is the safe loss: after a
+    /// crash the job replays as pending and re-runs deterministically.
+    fn commit(&self, batch: Vec<Completion>) {
         if let Some(journal) = &self.journal {
-            let mut j = self.lock(journal);
-            match j.complete(job.id, &encode_payload(job.sweep, &line)) {
+            let mut journal = self.lock(journal);
+            let done = self.counters.done_records.load(Ordering::SeqCst);
+            let cut = match self.opts.crash_after {
+                Some(n) if n > done => {
+                    usize::try_from(n - done).map_or(batch.len(), |k| k.min(batch.len()))
+                }
+                _ => batch.len(),
+            };
+            let payloads: Vec<Vec<u8>> = batch[..cut]
+                .iter()
+                .map(|c| encode_payload(c.sweep, &c.line))
+                .collect();
+            let records = batch
+                .iter()
+                .zip(&payloads)
+                .map(|(c, p)| (c.id, p.as_slice()));
+            match journal.complete_all(records) {
                 Ok(()) => {
-                    let done = self.counters.done_records.fetch_add(1, Ordering::SeqCst) + 1;
+                    let done = self
+                        .counters
+                        .done_records
+                        .fetch_add(cut as u64, Ordering::SeqCst)
+                        + cut as u64;
+                    self.counters.done_commits.fetch_add(1, Ordering::Relaxed);
                     if self.opts.crash_after == Some(done) {
                         // The crash harness: die as unceremoniously as
                         // `kill -9` (no unwinding, no drop glue, no drain)
@@ -564,18 +638,79 @@ impl ServeState {
                 Err(e) => self.trip_storage(&e),
             }
         } else {
-            self.counters.done_records.fetch_add(1, Ordering::SeqCst);
+            self.counters
+                .done_records
+                .fetch_add(batch.len() as u64, Ordering::SeqCst);
         }
-        self.lock(&self.jobs).insert(job.id, JobStatus::Done(line));
-        self.counters.completed.fetch_add(1, Ordering::Relaxed);
+        let count = batch.len();
+        let (mut retries, mut cancelled) = (0u64, 0u64);
+        {
+            let mut jobs = self.lock(&self.jobs);
+            for c in batch {
+                retries += u64::from(c.attempts.saturating_sub(1));
+                cancelled += u64::from(c.cancelled);
+                jobs.insert(c.id, JobStatus::Done(c.line));
+            }
+        }
         self.counters
-            .retries
-            .fetch_add(u64::from(attempts.saturating_sub(1)), Ordering::Relaxed);
-        if cancelled {
-            self.counters.cancelled.fetch_add(1, Ordering::Relaxed);
+            .completed
+            .fetch_add(count as u64, Ordering::Relaxed);
+        self.counters.retries.fetch_add(retries, Ordering::Relaxed);
+        self.counters
+            .cancelled
+            .fetch_add(cancelled, Ordering::Relaxed);
+        self.gate.release(count);
+    }
+
+    /// Start the commit stage's thread: from now on
+    /// [`ServeState::finish`] queues done records for it. End it with
+    /// [`ServeState::join_committer`].
+    pub(crate) fn spawn_committer(self: &Arc<Self>) -> JoinHandle<()> {
+        {
+            let mut commits = self.lock(&self.commits);
+            commits.running = true;
+            commits.stop = false;
         }
-        self.note_breaker(&job.spec.config(), poisoned);
-        self.gate.release(1);
+        let state = Arc::clone(self);
+        thread::spawn(move || state.commit_loop())
+    }
+
+    /// The committer: take every done record queued since the last commit
+    /// and commit them together, until told to stop with nothing queued.
+    fn commit_loop(&self) {
+        loop {
+            let batch = {
+                let mut commits = self.lock(&self.commits);
+                while commits.pending.is_empty() && !commits.stop {
+                    commits = self.commit_ready.wait(commits).unwrap_or_else(|poisoned| {
+                        self.counters.lock_poisoned.fetch_add(1, Ordering::Relaxed);
+                        poisoned.into_inner()
+                    });
+                }
+                if commits.pending.is_empty() {
+                    return;
+                }
+                std::mem::take(&mut commits.pending)
+            };
+            self.commit(batch);
+        }
+    }
+
+    /// Stop the committer once it has committed everything queued, and
+    /// join it. Later calls to `finish` commit inline again, and so does
+    /// anything a panicked committer left behind.
+    pub(crate) fn join_committer(&self, committer: JoinHandle<()>) {
+        self.lock(&self.commits).stop = true;
+        self.commit_ready.notify_all();
+        let _ = committer.join();
+        let rest = {
+            let mut commits = self.lock(&self.commits);
+            commits.running = false;
+            std::mem::take(&mut commits.pending)
+        };
+        if !rest.is_empty() {
+            self.commit(rest);
+        }
     }
 
     /// Is the breaker for `cfg` open (jobs on it quarantined)?
@@ -694,7 +829,8 @@ impl ServeState {
              queue_depth={}\nqueue_capacity={}\nqueue_high_water={}\n\
              shed={}\ninjected_shed={}\nadmitted={}\n\
              sessions_created={}\nsessions_poisoned={}\nbreakers_open={}\ndraining={}\n\
-             storage_degraded={}\njournal_errors={}\nsalvaged_records={}\nlock_poisoned={}\n",
+             storage_degraded={}\njournal_errors={}\ndone_records={}\ndone_commits={}\n\
+             salvaged_records={}\nlock_poisoned={}\n",
             self.counters.submitted.load(Ordering::Relaxed),
             self.counters.completed.load(Ordering::Relaxed),
             self.counters.cancelled.load(Ordering::Relaxed),
@@ -712,6 +848,8 @@ impl ServeState {
             self.is_draining(),
             self.storage_is_degraded(),
             self.counters.journal_errors.load(Ordering::Relaxed),
+            self.counters.done_records.load(Ordering::Relaxed),
+            self.counters.done_commits.load(Ordering::Relaxed),
             self.counters.salvaged.load(Ordering::Relaxed),
             self.counters.lock_poisoned.load(Ordering::Relaxed),
         )
@@ -969,6 +1107,125 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(chaos.contents(&path), single.contents(&path));
+    }
+
+    /// Finish every queued job as if a commit were running, so that
+    /// their done records wait in the commit queue; returns their lines.
+    /// [`ServeState::commit_loop`] then commits them and returns.
+    fn finish_during_a_commit(state: &ServeState) -> Vec<(u64, String)> {
+        {
+            let mut commits = state.lock(&state.commits);
+            commits.running = true;
+            commits.stop = true;
+        }
+        let jobs: Vec<QueuedJob> = state.lock(&state.queue).drain(..).collect();
+        jobs.iter()
+            .map(|job| {
+                let line = format!("job-{} ok", job.id);
+                state.finish(job, line.clone(), 1, false, false);
+                (job.id, line)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn done_records_queued_during_a_commit_go_out_in_one_write_and_one_sync() {
+        use rvv_ckpt::{ChaosBackend, ChaosPlan};
+        let path = PathBuf::from("/j/q.journal");
+        let sweep = specs(&SWEEP);
+        let chaos = Arc::new(ChaosBackend::new(ChaosPlan::quiet()));
+        let state = ServeState::new(chaos_options(&chaos, false)).unwrap();
+        let (sweep_id, ids) = state.submit(&sweep).unwrap();
+        let before = chaos.ops();
+        let lines = finish_during_a_commit(&state);
+        // Until the commit, no job is done: nothing is on disk, the sweep
+        // reads pending and every job still holds its admission slot.
+        assert_eq!(chaos.ops(), before);
+        assert_eq!(
+            state.sweep_text(sweep_id).unwrap(),
+            "pending 0/8 jobs done\n"
+        );
+        assert_eq!(state.gate.depth(), 8);
+        assert_eq!(state.counters.completed.load(Ordering::Relaxed), 0);
+
+        state.commit_loop();
+        assert_eq!(chaos.ops() - before, 2, "one write, one fsync");
+        assert!(state
+            .sweep_text(sweep_id)
+            .unwrap()
+            .starts_with("complete jobs=8\n"));
+        assert_eq!(state.gate.depth(), 0);
+        let stats = state.stats_text();
+        assert!(
+            stats.contains("\ndone_records=8\ndone_commits=1\n"),
+            "{stats}"
+        );
+        // The bytes are those of one single-record complete per job.
+        let single = Arc::new(ChaosBackend::new(ChaosPlan::quiet()));
+        let backend: Arc<dyn StorageBackend> = single.clone();
+        let mut q = QueueJournal::create_on(&backend, &path, JOURNAL_TAG, 1).unwrap();
+        for (id, spec) in ids.iter().zip(&sweep) {
+            q.submit(*id, &encode_payload(sweep_id, &spec.to_string()))
+                .unwrap();
+        }
+        for (id, line) in &lines {
+            q.complete(*id, &encode_payload(sweep_id, line)).unwrap();
+        }
+        assert_eq!(chaos.contents(&path), single.contents(&path));
+    }
+
+    #[test]
+    fn a_failed_batch_append_trips_the_breaker_and_every_completion_lands() {
+        use rvv_ckpt::{ChaosBackend, ChaosPlan};
+        // Write op 0 is the journal header, op 1 the sweep's submits; the
+        // batch of done records fails hard.
+        let chaos = Arc::new(ChaosBackend::new(ChaosPlan {
+            fail_writes_after: Some(2),
+            ..ChaosPlan::quiet()
+        }));
+        let state = ServeState::new(chaos_options(&chaos, false)).unwrap();
+        let (sweep_id, _) = state.submit(&specs(&SWEEP)).unwrap();
+        finish_during_a_commit(&state);
+        state.commit_loop();
+        assert!(state.storage_is_degraded());
+        assert_eq!(state.counters.journal_errors.load(Ordering::Relaxed), 1);
+        assert_eq!(state.counters.done_records.load(Ordering::Relaxed), 0);
+        assert_eq!(state.counters.done_commits.load(Ordering::Relaxed), 0);
+        assert!(state
+            .sweep_text(sweep_id)
+            .unwrap()
+            .starts_with("complete jobs=8\n"));
+        assert_eq!(state.counters.completed.load(Ordering::Relaxed), 8);
+        assert_eq!(state.gate.depth(), 0, "every slot released");
+    }
+
+    #[test]
+    fn the_committer_commits_everything_queued_before_it_joins() {
+        use rvv_ckpt::{ChaosBackend, ChaosPlan};
+        let chaos = Arc::new(ChaosBackend::new(ChaosPlan::quiet()));
+        let state = ServeState::new(chaos_options(&chaos, false)).unwrap();
+        let (first, ids) = state.submit(&specs(&SWEEP)).unwrap();
+        let committer = state.spawn_committer();
+        for _ in &ids {
+            let job = state.next_job().unwrap();
+            state.finish(&job, format!("job-{} ok", job.id), 1, false, false);
+        }
+        state.join_committer(committer);
+        assert!(state
+            .sweep_text(first)
+            .unwrap()
+            .starts_with("complete jobs=8\n"));
+        let commits = state.counters.done_commits.load(Ordering::Relaxed);
+        assert!((1..=8).contains(&commits), "{commits} commits");
+        // With the committer joined, `finish` commits inline again.
+        let (second, _) = state.submit(&specs(&["p_add n=8"])).unwrap();
+        let job = state.next_job().unwrap();
+        state.finish(&job, "job-9 ok".to_string(), 1, false, false);
+        assert!(state
+            .sweep_text(second)
+            .unwrap()
+            .starts_with("complete jobs=1\n"));
+        assert_eq!(state.counters.done_records.load(Ordering::Relaxed), 9);
     }
 
     #[test]
