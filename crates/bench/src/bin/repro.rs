@@ -22,7 +22,7 @@ fn main() {
     for row in MANIFEST {
         usage += &format!("\n  {:<20} {}", row.name, row.section);
     }
-    let names = positional_args(&["--max-n", "--threads", "--exec-engine"], &usage);
+    let names = positional_args(&["--max-n", "--threads", "--exec-engine"], &[], &usage);
     if let Some(name) = names.iter().find(|n| manifest::row(n).is_none()) {
         usage_error(&format!("unknown row `{name}`\n{usage}"));
     }

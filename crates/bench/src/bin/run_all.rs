@@ -41,16 +41,54 @@
 //!   derives that ordinal deterministically via
 //!   [`rvv_fault::CrashPoint::derive`]. Both exist for the recovery tests.
 //!
-//! A malformed flag value is a usage error (exit 2).
+//! An unknown flag, a stray argument, a malformed flag value, and a
+//! crash-safety flag without `--journal` are usage errors (exit 2).
 
 use rvv_batch::journal::{run_journaled, JournalOptions};
 use rvv_batch::{BatchJob, BatchResult, BatchRunner, Engine};
 use rvv_fault::{ArmedFaults, CrashPoint, FaultPlan};
 use scanvec::HEAP_BASE;
 use scanvec_bench::sweep::{self, sweep_jobs, Measurement, SweepShape};
-use scanvec_bench::{cost_preset_arg, exec_engine_arg, flag_arg, num_arg, threads_arg};
+use scanvec_bench::{
+    cost_preset_arg, exec_engine_arg, flag_arg, num_arg, positional_args, threads_arg, usage_error,
+};
 use std::path::Path;
 use std::sync::Arc;
+
+const USAGE: &str = "usage: run_all [--max-n N] [--threads T] [--exec-engine plan|legacy|fused] \
+     [--cost-preset P] [--inject-seed S] [--keep-going] \
+     [--journal [--resume] [--fsync-every K] [--crash-at N | --crash-seed S]]";
+/// The flags that take a value, then the ones that stand alone.
+const VALUED: [&str; 8] = [
+    "--max-n",
+    "--threads",
+    "--exec-engine",
+    "--cost-preset",
+    "--inject-seed",
+    "--fsync-every",
+    "--crash-at",
+    "--crash-seed",
+];
+const BARE: [&str; 3] = ["--keep-going", "--journal", "--resume"];
+/// The crash-safety flags, which only `--journal` reads.
+const JOURNAL_ONLY: [&str; 4] = ["--resume", "--fsync-every", "--crash-at", "--crash-seed"];
+
+/// Refuse, before any work, a command line with an unknown flag, a
+/// stray argument, or a crash-safety flag without `--journal`; return
+/// the journal's fsync granularity (`--fsync-every`, default 1).
+fn check_args() -> u32 {
+    if let Some(stray) = positional_args(&VALUED, &BARE, USAGE).first() {
+        usage_error(&format!("unknown argument `{stray}`\n{USAGE}"));
+    }
+    if !flag_arg("--journal") {
+        if let Some(flag) = JOURNAL_ONLY.iter().find(|f| flag_arg(f)) {
+            usage_error(&format!("{flag} needs --journal\n{USAGE}"));
+        }
+    }
+    num_arg("--fsync-every").map_or(1, |k| {
+        u32::try_from(k).unwrap_or_else(|_| usage_error("--fsync-every must be at most 4294967295"))
+    })
+}
 
 /// Instruction watchdog for injected runs: far above the largest legit
 /// sweep point (~2×10⁸ retired at n=10⁶), far below `DEFAULT_FUEL` — a
@@ -155,11 +193,11 @@ fn journal_main(
     threads: usize,
     keep_going: bool,
     inject_seed: Option<u64>,
+    fsync_every: u32,
     shape: &SweepShape,
     jobs: Vec<BatchJob<Measurement>>,
 ) {
     let resume = flag_arg("--resume");
-    let fsync_every = num_arg("--fsync-every").unwrap_or(1) as u32;
     // An explicit `--crash-at` ordinal wins; otherwise `--crash-seed`
     // derives one from the job count, the host-level analogue of
     // `FaultPlan::derive` for the chaos suite.
@@ -225,6 +263,7 @@ fn journal_main(
 }
 
 fn main() {
+    let fsync_every = check_args();
     let threads = threads_arg();
     let keep_going = flag_arg("--keep-going");
     let inject_seed = num_arg("--inject-seed");
@@ -281,6 +320,7 @@ fn main() {
             threads,
             keep_going,
             inject_seed,
+            fsync_every,
             &shape,
             build_jobs(),
         );

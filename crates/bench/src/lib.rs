@@ -84,9 +84,10 @@ fn arg_value(name: &str) -> Option<String> {
 }
 
 /// The command line's positional arguments, after checking its flags:
-/// each flag in `valued` takes the next argument as its value, and any
-/// other `--` argument is a usage error that prints `usage`.
-pub fn positional_args(valued: &[&str], usage: &str) -> Vec<String> {
+/// each flag in `valued` takes the next argument as its value, each in
+/// `bare` stands alone, and any other `--` argument is a usage error that
+/// prints `usage`.
+pub fn positional_args(valued: &[&str], bare: &[&str], usage: &str) -> Vec<String> {
     let mut positional = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -95,7 +96,9 @@ pub fn positional_args(valued: &[&str], usage: &str) -> Vec<String> {
                 usage_error(&format!("{a} takes a value\n{usage}"));
             }
         } else if a.starts_with("--") {
-            usage_error(&format!("unknown argument `{a}`\n{usage}"));
+            if !bare.contains(&a.as_str()) {
+                usage_error(&format!("unknown argument `{a}`\n{usage}"));
+            }
         } else {
             positional.push(a);
         }

@@ -41,6 +41,19 @@ fn bad_arguments_exit_2_with_a_message() {
             "--inject-seed takes an integer",
         ),
         ("run_all --cost-preset warp", "unknown --cost-preset `warp`"),
+        (
+            "run_all --max-n 100 --thread 4",
+            "unknown argument `--thread`",
+        ),
+        ("run_all --max-n 100 table1", "unknown argument `table1`"),
+        ("run_all --crash-at 3", "--crash-at needs --journal"),
+        ("run_all --crash-seed 7", "--crash-seed needs --journal"),
+        ("run_all --fsync-every 4", "--fsync-every needs --journal"),
+        ("run_all --resume", "--resume needs --journal"),
+        (
+            "run_all --journal --fsync-every 4294967296",
+            "--fsync-every must be at most 4294967295",
+        ),
     ];
     for (command, message) in cases {
         let mut words = command.split(' ');
