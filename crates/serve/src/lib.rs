@@ -11,7 +11,9 @@
 //!   *before* the client is acknowledged; `kill -9` at any instant loses
 //!   nothing accepted, and a restart with `--resume` replays completed
 //!   results verbatim and re-runs pending ones, so sweep digests are
-//!   byte-identical to an uninterrupted run.
+//!   byte-identical to an uninterrupted run. A job reads done only once
+//!   its done record is durable; one committer thread writes the done
+//!   records that queue up during a commit with one write and one fsync.
 //! * **Deadlines** — a supervisor thread cancels overdue jobs
 //!   cooperatively ([`scanvec::CancelToken`] observed at instruction
 //!   boundaries in every execution tier).

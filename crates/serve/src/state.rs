@@ -676,7 +676,8 @@ impl ServeState {
     }
 
     /// The committer: take every done record queued since the last commit
-    /// and commit them together, until told to stop with nothing queued.
+    /// and commit them together, until told to stop with nothing queued;
+    /// then hand `finish` back its inline commit.
     fn commit_loop(&self) {
         loop {
             let batch = {
@@ -688,6 +689,7 @@ impl ServeState {
                     });
                 }
                 if commits.pending.is_empty() {
+                    commits.running = false;
                     return;
                 }
                 std::mem::take(&mut commits.pending)
@@ -697,20 +699,11 @@ impl ServeState {
     }
 
     /// Stop the committer once it has committed everything queued, and
-    /// join it. Later calls to `finish` commit inline again, and so does
-    /// anything a panicked committer left behind.
+    /// join it. Later calls to `finish` commit inline again.
     pub(crate) fn join_committer(&self, committer: JoinHandle<()>) {
         self.lock(&self.commits).stop = true;
         self.commit_ready.notify_all();
         let _ = committer.join();
-        let rest = {
-            let mut commits = self.lock(&self.commits);
-            commits.running = false;
-            std::mem::take(&mut commits.pending)
-        };
-        if !rest.is_empty() {
-            self.commit(rest);
-        }
     }
 
     /// Is the breaker for `cfg` open (jobs on it quarantined)?
@@ -1111,7 +1104,8 @@ mod tests {
 
     /// Finish every queued job as if a commit were running, so that
     /// their done records wait in the commit queue; returns their lines.
-    /// [`ServeState::commit_loop`] then commits them and returns.
+    /// [`ServeState::commit_loop`] then commits them in one batch and
+    /// returns.
     fn finish_during_a_commit(state: &ServeState) -> Vec<(u64, String)> {
         {
             let mut commits = state.lock(&state.commits);
