@@ -642,23 +642,27 @@ impl ServeState {
                 .done_records
                 .fetch_add(batch.len() as u64, Ordering::SeqCst);
         }
+        // Counted before the flip, so a client that sees its sweep
+        // complete reads counters that include it.
         let count = batch.len();
-        let (mut retries, mut cancelled) = (0u64, 0u64);
-        {
-            let mut jobs = self.lock(&self.jobs);
-            for c in batch {
-                retries += u64::from(c.attempts.saturating_sub(1));
-                cancelled += u64::from(c.cancelled);
-                jobs.insert(c.id, JobStatus::Done(c.line));
-            }
-        }
+        let retries = batch
+            .iter()
+            .map(|c| u64::from(c.attempts.saturating_sub(1)))
+            .sum();
+        let cancelled = batch.iter().filter(|c| c.cancelled).count();
         self.counters
             .completed
             .fetch_add(count as u64, Ordering::Relaxed);
         self.counters.retries.fetch_add(retries, Ordering::Relaxed);
         self.counters
             .cancelled
-            .fetch_add(cancelled, Ordering::Relaxed);
+            .fetch_add(cancelled as u64, Ordering::Relaxed);
+        {
+            let mut jobs = self.lock(&self.jobs);
+            for c in batch {
+                jobs.insert(c.id, JobStatus::Done(c.line));
+            }
+        }
         self.gate.release(count);
     }
 
