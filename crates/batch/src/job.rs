@@ -385,7 +385,7 @@ impl<T: fmt::Debug> BatchResult<T> {
     }
 
     /// `None` when every job succeeded; otherwise a summary of the failed
-    /// jobs, suitable for a `--keep-going` failure manifest. The summary's
+    /// jobs, suitable for a failure manifest. The summary's
     /// `Display` is deterministic: job order, stable outcome forms, no
     /// timing or scheduling data.
     pub fn degraded(&self) -> Option<DegradedSummary> {
@@ -435,7 +435,7 @@ pub struct FailedJob {
 
 /// A degraded batch: the sweep completed, some jobs failed. Produced by
 /// [`BatchResult::degraded`]; its `Display` is the failure manifest
-/// `run_all --keep-going` writes (deterministic — byte-identical across
+/// `repro --inject-seed` writes (deterministic — byte-identical across
 /// thread counts and reruns for deterministic jobs).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegradedSummary {

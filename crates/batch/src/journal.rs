@@ -73,14 +73,28 @@ impl JournalPayload for u64 {
     }
 }
 
-/// Options for [`run_journaled`].
-#[derive(Debug, Clone, Copy)]
+/// The length, then the elements. The length comes off disk, so decode
+/// reserves nothing from it: it reads the elements one at a time, and a
+/// length the record cannot hold fails at the record's end.
+impl JournalPayload for Vec<u64> {
+    fn encode(&self, w: &mut ByteWriter) {
+        w.put_u32(u32::try_from(self.len()).expect("at most u32::MAX elements"));
+        for &x in self {
+            w.put_u64(x);
+        }
+    }
+    fn decode(r: &mut ByteReader<'_>) -> Result<Vec<u64>, CodecError> {
+        let mut v = Vec::new();
+        for _ in 0..r.get_u32()? {
+            v.push(r.get_u64()?);
+        }
+        Ok(v)
+    }
+}
+
+/// Options for [`run_journaled`]. The journal fsyncs every record.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct JournalOptions {
-    /// `fsync` the journal after every N records (0 = never fsync; the
-    /// OS page cache still makes records durable against process death,
-    /// just not against machine crash). The header record is always
-    /// fsynced; the up-front submit batch counts as one record per job.
-    pub fsync_every: u32,
     /// Resume from an existing journal at the path (replaying completed
     /// records and running the remainder) instead of starting fresh. With
     /// `resume = false` any existing journal is overwritten.
@@ -92,20 +106,10 @@ pub struct JournalOptions {
     pub crash_after: Option<u64>,
 }
 
-impl Default for JournalOptions {
-    fn default() -> JournalOptions {
-        JournalOptions {
-            fsync_every: 1,
-            resume: false,
-            crash_after: None,
-        }
-    }
-}
-
 /// The queue tag binding a journal to its job list: resume must be
 /// handed the *same* sweep (names, configurations, weights, order).
-/// Thread count and fsync granularity are deliberately excluded — a
-/// journal written at `--threads 8` resumes fine at `--threads 1`.
+/// The thread count is deliberately excluded — a journal written at
+/// `--threads 8` resumes fine at `--threads 1`.
 fn queue_tag<T>(jobs: &[BatchJob<T>]) -> String {
     let mut digest_src = ByteWriter::new();
     for job in jobs {
@@ -276,7 +280,7 @@ where
     // list the jobs the journal holds no submit record for.
     let mut replayed: HashMap<usize, Replayed<T>> = HashMap::new();
     let (mut queue, unsubmitted) = if opts.resume {
-        let (queue, recovery) = QueueJournal::resume(path, &tag, opts.fsync_every)?;
+        let (queue, recovery) = QueueJournal::resume(path, &tag, 1)?;
         // Mid-stream corruption is quarantined, not fatal: a lost done
         // record held one completed job's report, and that job simply
         // re-runs below (it never lands in `replayed`). Surface the damage
@@ -304,7 +308,7 @@ where
             .collect();
         (queue, lost)
     } else {
-        let queue = QueueJournal::create(path, &tag, opts.fsync_every)?;
+        let queue = QueueJournal::create(path, &tag, 1)?;
         (queue, (0..jobs.len()).collect())
     };
     // Every job is submitted before anything runs, so each done record

@@ -48,7 +48,7 @@
 //! the attempt count is reported but — like `wall` and `worker` —
 //! quarantined out of the stable serialization. A batch with failures
 //! still completes every job; [`BatchResult::degraded`] summarizes the
-//! failures as a deterministic manifest for `--keep-going` style drivers.
+//! failures as a deterministic manifest.
 //!
 //! ## How a sweep survives its process dying
 //!

@@ -10,8 +10,8 @@
 //! also exercised there.
 
 use rvv_batch::journal::{run_journaled, JournalOptions};
-use rvv_batch::{BatchJob, BatchResult, BatchRunner, JobOutcome};
-use rvv_ckpt::{fs_backend, read_journal_on};
+use rvv_batch::{BatchJob, BatchResult, BatchRunner, CostModel, JobOutcome, JournalPayload};
+use rvv_ckpt::{fs_backend, read_journal_on, ByteReader, ByteWriter};
 use scanvec::primitives::{plus_scan, seg_plus_scan};
 use scanvec::{EnvConfig, HEAP_BASE};
 use std::fs;
@@ -27,9 +27,11 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// A small mixed sweep: successes (checksum payloads), one sim trap, one
-/// host-side failure, one panic with a retry — every outcome class a
-/// journal must carry across a crash.
+/// A small mixed sweep: successes (checksum payloads), one of them costed,
+/// one sim trap, one host-side failure, one panic with a retry — every
+/// outcome class a journal must carry across a crash. The costed job's
+/// cycles are in its stable line, so every digest comparison below also
+/// checks the journal's cycle block.
 fn cfg() -> EnvConfig {
     EnvConfig {
         mem_bytes: 1 << 22,
@@ -40,11 +42,16 @@ fn cfg() -> EnvConfig {
 fn jobs() -> Vec<BatchJob<u64>> {
     let mut jobs: Vec<BatchJob<u64>> = (1..=6u64)
         .map(|k| {
-            BatchJob::new(format!("scan/n={}", 50 * k), cfg(), move |env| {
+            let job = BatchJob::new(format!("scan/n={}", 50 * k), cfg(), move |env| {
                 let v = env.from_u32(&vec![1; 50 * k as usize])?;
                 plus_scan(env, &v)
-            })
-            .weight(50 * k)
+            });
+            let job = job.weight(50 * k);
+            if k == 3 {
+                job.costed(CostModel::ara_like())
+            } else {
+                job
+            }
         })
         .collect();
     jobs.push(BatchJob::new("trap/guard", cfg(), |env| {
@@ -282,4 +289,32 @@ fn a_corrupt_done_record_is_salvaged_and_its_job_reruns() {
         }
     }
     fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn points_round_trip_and_a_cut_point_errors() {
+    for point in [vec![], vec![7], vec![0, u64::MAX, 42]] {
+        let mut w = ByteWriter::new();
+        point.encode(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert_eq!(Vec::<u64>::decode(&mut r).unwrap(), point);
+        r.finish().unwrap();
+        for cut in 0..bytes.len() {
+            let mut r = ByteReader::new(&bytes[..cut]);
+            assert!(
+                Vec::<u64>::decode(&mut r).is_err(),
+                "{point:?} cut at {cut}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_point_longer_than_its_record_errors_without_reserving_its_length() {
+    let mut w = ByteWriter::new();
+    w.put_u32(u32::MAX);
+    w.put_u64(1);
+    let bytes = w.into_bytes();
+    assert!(Vec::<u64>::decode(&mut ByteReader::new(&bytes)).is_err());
 }

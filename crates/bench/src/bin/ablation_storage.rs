@@ -28,7 +28,7 @@ use rvv_ckpt::{ChaosBackend, ChaosPlan, StorageBackend};
 use rvv_fault::{StorageFault, StorageFaultKind};
 use rvv_serve::http::request;
 use rvv_serve::{ServeOptions, Server};
-use scanvec_bench::num_arg;
+use scanvec_bench::{check_flags, num_arg};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -203,6 +203,11 @@ fn lying_fsync_cell(clean: &[u8], reference: &str, fault: &StorageFault, seed: u
 }
 
 fn main() {
+    check_flags(
+        &["--inject-seed"],
+        &[],
+        "usage: ablation_storage [--inject-seed S]",
+    );
     let seed = num_arg("--inject-seed").unwrap_or(DEFAULT_SEED);
     println!("storage-chaos ablation: seed={seed:#x}, {REPS} cells/kind, workers {WORKERS:?}");
 

@@ -3,36 +3,30 @@
 //!
 //! Usage: `cargo run -p scanvec-bench --bin dump_kernels [--lmul 8] [--vlen 1024]`
 
-use rvv_asm::SpillProfile;
 use rvv_isa::{Lmul, Sew, VAluOp};
 use scanvec::kernels;
-use scanvec::{EnvConfig, ScanKind, ScanOp};
-
-fn arg(name: &str, default: u32) -> u32 {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == format!("--{name}") {
-            return w[1].parse().unwrap_or(default);
-        }
-    }
-    default
-}
+use scanvec::{Engine, EnvConfig, ScanKind, ScanOp};
+use scanvec_bench::{check_flags, num_arg, usage_error};
 
 fn main() {
-    let vlen = arg("vlen", 1024);
-    let lmul = match arg("lmul", 1) {
-        1 => Lmul::M1,
-        2 => Lmul::M2,
-        4 => Lmul::M4,
-        8 => Lmul::M8,
-        other => panic!("--lmul must be 1/2/4/8, got {other}"),
-    };
+    check_flags(
+        &["--vlen", "--lmul"],
+        &[],
+        "usage: dump_kernels [--vlen N] [--lmul 1|2|4|8]",
+    );
+    let vlen = num_arg("--vlen").map_or(1024, |v| u32::try_from(v).unwrap_or(u32::MAX));
+    let regs = num_arg("--lmul").unwrap_or(1);
+    let lmul = Lmul::ALL.into_iter().find(|l| u64::from(l.regs()) == regs);
+    let lmul =
+        lmul.unwrap_or_else(|| usage_error(&format!("--lmul must be 1, 2, 4 or 8, got {regs}")));
     let cfg = EnvConfig {
         vlen,
         lmul,
-        spill_profile: SpillProfile::llvm14(),
-        mem_bytes: 1 << 20,
+        ..EnvConfig::paper_default()
     };
+    if let Err(e) = Engine::new().validate(&cfg) {
+        usage_error(&e.to_string());
+    }
     println!(
         "# kernels at VLEN={vlen}, LMUL=m{}, e32, llvm14 spill profile\n",
         lmul.regs()

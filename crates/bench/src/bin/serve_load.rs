@@ -20,19 +20,12 @@ use rvv_ckpt::fnv1a;
 use rvv_serve::http::request;
 use rvv_serve::JobSpec;
 use scanvec::Engine;
-use scanvec_bench::{flag_arg, num_arg};
+use scanvec_bench::{arg_value, check_flags, flag_arg, num_arg};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-fn addr_arg() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    for w in args.windows(2) {
-        if w[0] == "--addr" {
-            return w[1].clone();
-        }
-    }
-    "127.0.0.1:7190".to_string()
-}
+const USAGE: &str =
+    "usage: serve_load [--addr HOST:PORT] [--jobs N] [--submit-only | --verify-only]";
 
 /// The smoke sweep: `jobs` small mixed-workload specs, pure function of
 /// the count so client and reference always agree.
@@ -88,7 +81,12 @@ fn parse_ack(reply: &str) -> Option<(u64, u64)> {
 }
 
 fn main() {
-    let addr = addr_arg();
+    check_flags(
+        &["--addr", "--jobs"],
+        &["--submit-only", "--verify-only"],
+        USAGE,
+    );
+    let addr = arg_value("--addr").unwrap_or_else(|| "127.0.0.1:7190".to_string());
     let jobs = num_arg("--jobs").unwrap_or(40);
     let specs = specs(jobs);
 

@@ -17,14 +17,8 @@ use scanvec_algos::{bitonic_sort, qsort_baseline, split_radix_sort};
 /// "LMUL must not change the answer") survive decomposition into
 /// independent batch jobs.
 pub fn checksum(words: &[u32]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for w in words {
-        for b in w.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-    h
+    let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+    rvv_ckpt::fnv1a(&bytes)
 }
 
 /// One (vectorized, baseline) measurement pair.
@@ -137,6 +131,15 @@ pub fn scan_lmul_point(e: &mut ScanEnv, n: usize) -> ScanResult<(u64, u64)> {
     let w = e.from_u32(&data)?;
     let base = baseline::plus_scan(e, &w)?;
     Ok((ours, base))
+}
+
+/// The unsegmented scan of [`scan_lmul_point`]'s workload, without the
+/// baseline. Returns the dynamic instruction count and a [`checksum`] of
+/// the scanned vector, like [`table5_point`].
+pub fn scan_point(e: &mut ScanEnv, n: usize) -> ScanResult<(u64, u64)> {
+    let v = e.from_u32(&random_u32s(n, 8))?;
+    let count = primitives::plus_scan(e, &v)?;
+    Ok((count, checksum(&e.to_u32(&v))))
 }
 
 /// Ablation: `enumerate` via `viota` (paper §4.4) vs via a generic

@@ -15,7 +15,6 @@
 
 pub mod experiments;
 pub mod manifest;
-pub mod sweep;
 
 use rand::prelude::*;
 use rvv_isa::Lmul;
@@ -76,7 +75,7 @@ pub fn usage_error(msg: &str) -> ! {
 
 /// The value after `name` on the command line; `None` when `name` is
 /// absent. A `name` with nothing after it is a usage error.
-fn arg_value(name: &str) -> Option<String> {
+pub fn arg_value(name: &str) -> Option<String> {
     let mut args = std::env::args().skip_while(|a| a != name);
     args.next()?;
     let value = args.next();
@@ -106,6 +105,14 @@ pub fn positional_args(valued: &[&str], bare: &[&str], usage: &str) -> Vec<Strin
     positional
 }
 
+/// Check a command line that takes no positional arguments, as
+/// [`positional_args`] does: a stray argument is a usage error too.
+pub fn check_flags(valued: &[&str], bare: &[&str], usage: &str) {
+    if let Some(stray) = positional_args(valued, bare, usage).first() {
+        usage_error(&format!("unknown argument `{stray}`\n{usage}"));
+    }
+}
+
 /// Parse `--max-n <N>` from the command line; defaults to 10⁶ (the full
 /// paper sweep).
 pub fn max_n_arg() -> usize {
@@ -123,22 +130,7 @@ pub fn threads_arg() -> usize {
     }
 }
 
-/// Parse `--cost-preset <name>` from the command line: the cycle-model
-/// preset (`unit`, `ara-like`, `vitruvius-like`) to attach to the sweep's
-/// jobs. `None` when absent — cost modeling is strictly opt-in, so the
-/// default run stays count-only and byte-identical to earlier releases.
-pub fn cost_preset_arg() -> Option<rvv_cost::CostModel> {
-    arg_value("--cost-preset").map(|v| {
-        rvv_cost::CostModel::preset(&v).unwrap_or_else(|| {
-            usage_error(&format!(
-                "unknown --cost-preset `{v}` (expected one of: {})",
-                rvv_cost::CostModel::PRESETS.join(", ")
-            ))
-        })
-    })
-}
-
-/// Is the bare flag `name` (e.g. `--keep-going`) present on the command
+/// Is the bare flag `name` (e.g. `--journal`) present on the command
 /// line?
 pub fn flag_arg(name: &str) -> bool {
     std::env::args().any(|a| a == name)
@@ -168,12 +160,6 @@ pub fn num_arg(name: &str) -> Option<u64> {
         };
         parsed.unwrap_or_else(|_| usage_error(&format!("{name} takes an integer, got `{v}`")))
     })
-}
-
-/// The paper's sizes, capped by `--max-n`.
-pub fn sweep_sizes() -> Vec<usize> {
-    let cap = max_n_arg();
-    PAPER_SIZES.iter().copied().filter(|&n| n <= cap).collect()
 }
 
 /// Render a table: a `## title` line, then the header row and aligned
@@ -217,11 +203,5 @@ mod tests {
         assert!(f.iter().all(|&x| x <= 1));
         assert!(f.iter().filter(|&&x| x == 1).count() > 5);
         assert!(random_head_flags(0, 1).is_empty());
-    }
-
-    #[test]
-    fn sweep_caps() {
-        // No --max-n in the test harness: full sweep.
-        assert_eq!(sweep_sizes(), PAPER_SIZES.to_vec());
     }
 }

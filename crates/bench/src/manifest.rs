@@ -5,23 +5,23 @@
 //! A row is the only place its experiment is declared: its sizes and how
 //! `--max-n` caps them, the batch jobs that run its point function from
 //! [`crate::experiments`], the paper's published numbers, its notes, and
-//! its shape claim with the predicate that checks it. [`measure`] runs the
-//! jobs of any subset of rows as one batch, so every row honours
-//! `--threads` and `--exec-engine`; [`render`] prints each row as an
-//! `=== name ===` section that ends with its claim and verdict. The `repro`
-//! binary is these two calls, and `run_all` renders its sweep through the
-//! same rows.
+//! its shape claim with the predicate that checks it. A [`Sweep`] runs the
+//! point jobs of any subset of rows as one batch, so every row honours
+//! `--threads` and `--exec-engine`, and the `repro` binary's determinism,
+//! fault and crash gates cover every row; [`render`] prints each row as an
+//! `=== name ===` section that ends with its claim and verdict.
 
 use crate::experiments::{self, CLASSES, PROFILE_N};
 use crate::{table, PAPER_SIZES};
 use rvv_asm::SpillProfile;
-use rvv_batch::{BatchJob, BatchRunner, CostModel};
+use rvv_batch::{BatchJob, BatchRunner, CostModel, CycleCounters, JobReport};
 use rvv_isa::{InstrClass, Lmul};
 use rvv_trace::TraceProfiler;
 use scanvec::{EnvConfig, ScanEnv, ScanResult};
 use std::collections::BTreeMap;
 
-/// What one job measured: the counts its point function returns, in order.
+/// What one job measured: the counts its point function returns, in order,
+/// then the modeled cycle total if the job is costed.
 pub type Point = Vec<u64>;
 
 /// The sizes a row runs at, and how `--max-n` caps them.
@@ -130,23 +130,56 @@ pub fn row(name: &str) -> Option<&'static Row> {
     MANIFEST.iter().find(|r| r.name == name)
 }
 
-/// Measure `rows`, and the rows they render from, at `--max-n = max_n`
-/// as one batch on `runner`. Panics if a job fails: every point is a
-/// known-good launch, so a failure is a bug.
-pub fn measure(rows: &[&Row], max_n: usize, runner: &BatchRunner) -> Runs {
-    let mut jobs = Vec::new();
-    let mut spans = Vec::new();
-    let needed = |r: &Row| {
-        rows.iter()
-            .any(|s| s.name == r.name || s.source == Some(r.name))
-    };
-    for row in MANIFEST.iter().filter(|r| needed(r)) {
-        let sizes = row.sizes.at(max_n);
-        let mut row_jobs = (row.jobs)(&sizes);
-        if let Some(profile) = row.profile {
-            row_jobs.extend(PROFILE_LMULS.map(|lmul| {
+/// The rows one run measures, each at its sizes: the rows asked for and
+/// the rows they render from, in manifest order.
+pub struct Sweep {
+    /// Each row, its sizes, and how many point jobs it has.
+    rows: Vec<(&'static Row, Vec<usize>, usize)>,
+}
+
+impl Sweep {
+    /// The sweep that renders `rows` at `--max-n = max_n`.
+    pub fn new(rows: &[&Row], max_n: usize) -> Sweep {
+        let needed = |r: &Row| {
+            rows.iter()
+                .any(|s| s.name == r.name || s.source == Some(r.name))
+        };
+        let rows = MANIFEST.iter().filter(|r| needed(r)).map(|row| {
+            let sizes = row.sizes.at(max_n);
+            let count = (row.jobs)(&sizes).len();
+            (row, sizes, count)
+        });
+        Sweep {
+            rows: rows.collect(),
+        }
+    }
+
+    /// The rows' point jobs as one batch, in row order, each named
+    /// `row/job`. The list depends only on the rows and sizes, so it can
+    /// be built again for a serial reference run or a resumed journal.
+    pub fn jobs(&self) -> Vec<BatchJob<Point>> {
+        let mut jobs = Vec::new();
+        for (row, sizes, _) in &self.rows {
+            for mut job in (row.jobs)(sizes) {
+                job.name = format!("{}/{}", row.name, job.name);
+                jobs.push(job);
+            }
+        }
+        jobs
+    }
+
+    /// Fold `points`, the in-order reports of a [`Sweep::jobs`] batch, into
+    /// runs, after running the profiled rows' traced launches on `runner`
+    /// as a second batch: a journal cannot carry a profile, so the
+    /// profiles stay out of the first. Panics if a job failed: every point
+    /// is a known-good launch, so a failure is a bug.
+    pub fn runs(&self, points: &[JobReport<Point>], runner: &BatchRunner) -> Runs {
+        let mut traced = Vec::new();
+        for (row, ..) in &self.rows {
+            let Some(profile) = row.profile else { continue };
+            traced.extend(PROFILE_LMULS.map(|lmul| {
                 BatchJob::new(
-                    format!("profile/m{}", lmul.regs()),
+                    format!("{}/profile/m{}", row.name, lmul.regs()),
                     EnvConfig::with_lmul(lmul),
                     move |e: &mut ScanEnv| (profile.point)(e).map(|()| Point::new()),
                 )
@@ -155,33 +188,33 @@ pub fn measure(rows: &[&Row], max_n: usize, runner: &BatchRunner) -> Runs {
                 .weight(PROFILE_N as u64)
             }));
         }
-        spans.push((row.name, sizes, row_jobs.len()));
-        for mut job in row_jobs {
-            job.name = format!("{}/{}", row.name, job.name);
-            jobs.push(job);
-        }
-    }
-    let mut reports = runner.run(jobs).reports.into_iter();
-    spans
-        .into_iter()
-        .map(|(name, sizes, count)| {
-            let (mut points, mut profiles) = (Vec::new(), Vec::new());
-            for r in reports.by_ref().take(count) {
-                let point = r.output().cloned();
-                let point = point.unwrap_or_else(|| panic!("{} failed: {:?}", r.name, r.outcome));
-                match r.profile {
-                    Some(profile) => profiles.push(profile),
-                    None => points.push(point),
-                }
-            }
+        let mut profiles = runner.run(traced).reports.into_iter().map(|r| {
+            expect_ok(&r);
+            r.profile.expect("a traced job")
+        });
+        let mut points = points.iter().map(expect_ok);
+        let runs = self.rows.iter().map(|(row, sizes, count)| {
             let run = Run {
-                sizes,
-                points,
-                profiles,
+                sizes: sizes.clone(),
+                points: points.by_ref().take(*count).collect(),
+                profiles: match row.profile {
+                    Some(_) => profiles.by_ref().take(PROFILE_LMULS.len()).collect(),
+                    None => Vec::new(),
+                },
             };
-            (name, run)
-        })
-        .collect()
+            (row.name, run)
+        });
+        runs.collect()
+    }
+}
+
+/// The point of a job that must not fail: its output, then its modeled
+/// cycle total if the job was costed.
+fn expect_ok(r: &JobReport<Point>) -> Point {
+    let point = r.output().cloned();
+    let mut point = point.unwrap_or_else(|| panic!("{} failed: {:?}", r.name, r.outcome));
+    point.extend(r.cycles.as_ref().map(CycleCounters::total));
+    point
 }
 
 fn measured<'a>(row: &'a Row, runs: &'a Runs) -> Measured<'a> {
@@ -305,6 +338,28 @@ fn two((a, b): (u64, u64)) -> [u64; 2] {
     [a, b]
 }
 
+/// The cost row's kernels: each one's jobs at every size and LMUL,
+/// costed under the ara-like model, the scan's sizes first.
+const COST_KERNELS: [&str; 2] = ["scan", "seg_scan"];
+
+fn costed_lmul_jobs(sizes: &[usize]) -> Vec<BatchJob<Point>> {
+    let configs = lmuls(SpillProfile::llvm14());
+    let scan = grid(sizes, &configs, |e, n| {
+        experiments::scan_point(e, n).map(two)
+    });
+    let seg = grid(sizes, &configs, |e, n| {
+        experiments::table5_point(e, n).map(two)
+    });
+    let kernels = COST_KERNELS.into_iter().zip([scan, seg]);
+    let jobs = kernels.flat_map(|(kernel, jobs)| {
+        jobs.into_iter().map(move |mut job| {
+            job.name = format!("{kernel}/{}", job.name);
+            job.costed(CostModel::ara_like())
+        })
+    });
+    jobs.collect()
+}
+
 // ---- bodies ----
 
 /// `base / ours` to three places, the tables' speedup format.
@@ -369,6 +424,26 @@ fn lmul_grid(sizes: &[usize], points: &[Point]) -> Vec<(usize, [u64; 4])> {
         (n, [0, 1, 2, 3].map(|i| four[i][0]))
     });
     grid.collect()
+}
+
+/// The cost row's `(kernel, n, counts, cycles)` at m1/m2/m4/m8, from
+/// `[count, checksum, cycles]` points; panics if LMUL changed a result.
+fn cost_grid(m: &Measured) -> Vec<(&'static str, usize, [u64; 4], [u64; 4])> {
+    let (scan, seg) = m.points.split_at(m.points.len() / 2);
+    let mut lines = Vec::new();
+    for (kernel, points) in COST_KERNELS.into_iter().zip([scan, seg]) {
+        let counts = lmul_grid(m.sizes, points);
+        for ((n, count), four) in counts.into_iter().zip(points.chunks(4)) {
+            lines.push((kernel, n, count, [0, 1, 2, 3].map(|i| four[i][2])));
+        }
+    }
+    lines
+}
+
+/// The cheapest LMUL under one metric; a tie goes to the smaller LMUL.
+fn best_lmul(values: [u64; 4]) -> Lmul {
+    let best = (0..4).min_by_key(|&i| values[i]).expect("four LMULs");
+    Lmul::ALL[best]
 }
 
 /// Table 6's `(speedup over LMUL=1) / LMUL` for LMUL 2, 4 and 8.
@@ -1071,6 +1146,58 @@ pub static MANIFEST: &[Row] = &[
             Ok(())
         },
     },
+    Row {
+        name: "ablation_cost",
+        section: "§6.3, ablation",
+        // The segmented scan's pick first differs between the metrics at
+        // 10⁵, so the row measures that size whatever `--max-n` says.
+        sizes: Sizes::Upto(&PAPER_SIZES, 100_000),
+        source: None,
+        jobs: costed_lmul_jobs,
+        profile: None,
+        paper: &[],
+        title: "Ablation — best LMUL by dynamic count vs by modeled cycles \
+                (ara-like, VLEN=1024)",
+        headers: "kernel | N | metric | m1 | m2 | m4 | m8 | best",
+        body: |m| {
+            let mut rows = Vec::new();
+            for (kernel, n, counts, cycles) in cost_grid(m) {
+                for (metric, values) in [("count", counts), ("cycles", cycles)] {
+                    let mut row = vec![kernel.to_string(), n.to_string()];
+                    row.extend(counts_row(metric, &values));
+                    row.push(format!("m{}", best_lmul(values).regs()));
+                    rows.push(row);
+                }
+            }
+            rows
+        },
+        notes: "The paper picks LMUL by dynamic count, which charges every instruction\n\
+                alike. The ara-like model (after Ara2) charges LMUL-proportional vector\n\
+                occupancy, memory-port contention and a per-op spill penalty, so the\n\
+                segmented scan's m8 spill traffic costs far more in cycles than in\n\
+                instructions. A tie goes to the smaller LMUL.",
+        claim: "The unsegmented scan picks the same best LMUL by count and by cycles at\n\
+                every N; the segmented scan's best LMUL moves from m8 (count) to m4\n\
+                (cycles) from N = 10^5 on.",
+        holds: |m| {
+            need(m, 100_000)?;
+            for (kernel, n, counts, cycles) in cost_grid(m) {
+                let picks = [best_lmul(counts), best_lmul(cycles)];
+                let ok = match kernel {
+                    "scan" => picks[0] == picks[1],
+                    _ => n < 100_000 || picks == [Lmul::M8, Lmul::M4],
+                };
+                ensure(
+                    ok,
+                    format!(
+                        "{kernel} picks {:?} by count and {:?} by cycles at N = {n}",
+                        picks[0], picks[1]
+                    ),
+                )?;
+            }
+            Ok(())
+        },
+    },
 ];
 
 #[cfg(test)]
@@ -1087,6 +1214,11 @@ mod tests {
     fn runner(exec: ExecEngine) -> BatchRunner {
         let engine = Engine::builder().default_exec_engine(exec).build();
         BatchRunner::with_engine(2, Arc::new(engine))
+    }
+
+    fn measure(rows: &[&Row], max_n: usize, runner: &BatchRunner) -> Runs {
+        let sweep = Sweep::new(rows, max_n);
+        sweep.runs(&runner.run(sweep.jobs()).reports, runner)
     }
 
     #[test]
@@ -1118,6 +1250,9 @@ mod tests {
     fn sizes_cap_at_max_n() {
         assert_eq!(PAPER_SWEEP.at(1_000), [100, 1_000]);
         assert_eq!(Sizes::Upto(&[13, 100, 1_000], 100).at(50), [13, 100]);
+        let cost = row("ablation_cost").expect("the cost row").sizes;
+        assert_eq!(cost.at(1_000), [100, 1_000, 10_000, 100_000]);
+        assert_eq!(cost.at(1_000_000), PAPER_SIZES);
         assert_eq!(Sizes::Capped(10_000).at(500), [500]);
         assert_eq!(Sizes::Capped(10_000).at(1_000_000), [10_000]);
     }

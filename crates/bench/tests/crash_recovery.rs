@@ -1,9 +1,9 @@
-//! Kill-based recovery tests against the real `run_all` binary: a
+//! Kill-based recovery tests against the real `repro` binary: a
 //! journaled sweep interrupted by a deterministic abort — or by an actual
 //! `SIGKILL` delivered mid-sweep — and then resumed must reproduce the
 //! uninterrupted run's deterministic outputs byte for byte.
 //!
-//! These are child-process tests (`CARGO_BIN_EXE_run_all`): the
+//! These are child-process tests (`CARGO_BIN_EXE_repro`): the
 //! in-process truncation/resume coverage lives in `rvv-batch`'s
 //! `journaled` suite; what only a separate process can prove is that the
 //! on-disk journal a *dead* process leaves behind is resumable.
@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-const RUN_ALL: &str = env!("CARGO_BIN_EXE_run_all");
+const REPRO: &str = env!("CARGO_BIN_EXE_repro");
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -25,17 +25,29 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-/// `run_all --max-n 1000 --journal <extra>` in `dir` (the binary writes
-/// relative `results/` paths, so the working directory isolates the run).
-fn run_all(dir: &Path, extra: &[&str]) -> std::process::ExitStatus {
-    Command::new(RUN_ALL)
+/// `repro <args>` in `dir` (the binary writes relative `results/` paths,
+/// so the working directory isolates the run); returns the exit code and
+/// stderr.
+fn run(dir: &Path, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(REPRO)
+        .current_dir(dir)
+        .args(args)
+        .stdout(Stdio::null())
+        .output()
+        .expect("spawn repro");
+    (out.status.code(), String::from_utf8(out.stderr).unwrap())
+}
+
+/// `repro --max-n 1000 --journal <extra>` in `dir`.
+fn repro(dir: &Path, extra: &[&str]) -> std::process::ExitStatus {
+    Command::new(REPRO)
         .current_dir(dir)
         .args(["--max-n", "1000", "--journal"])
         .args(extra)
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .status()
-        .expect("spawn run_all")
+        .expect("spawn repro")
 }
 
 fn sweep_json(dir: &Path) -> Vec<u8> {
@@ -47,18 +59,18 @@ fn crash_at_every_stage_then_resume_matches_the_uninterrupted_run() {
     for threads in ["1", "4"] {
         let dir = tmpdir("crash-at");
         // Uninterrupted reference.
-        assert!(run_all(&dir, &["--threads", threads]).success());
+        assert!(repro(&dir, &["--threads", threads]).success());
         let golden = sweep_json(&dir);
         fs::remove_dir_all(dir.join("results")).unwrap();
 
         // Crash after 5 journaled points (SIGABRT — same on-disk state as
         // kill -9), crash *again* on the resume, then finish: the journal
         // must survive repeated interruption.
-        let st = run_all(&dir, &["--threads", threads, "--crash-at", "5"]);
+        let st = repro(&dir, &["--threads", threads, "--crash-at", "5"]);
         assert!(!st.success(), "crash run must die");
-        let st = run_all(&dir, &["--threads", threads, "--resume", "--crash-at", "5"]);
+        let st = repro(&dir, &["--threads", threads, "--resume", "--crash-at", "5"]);
         assert!(!st.success(), "second crash run must die");
-        assert!(run_all(&dir, &["--threads", threads, "--resume"]).success());
+        assert!(repro(&dir, &["--threads", threads, "--resume"]).success());
 
         assert_eq!(
             sweep_json(&dir),
@@ -72,15 +84,15 @@ fn crash_at_every_stage_then_resume_matches_the_uninterrupted_run() {
 #[test]
 fn derived_crash_points_behave_like_explicit_ones() {
     let dir = tmpdir("crash-seed");
-    assert!(run_all(&dir, &["--threads", "2"]).success());
+    assert!(repro(&dir, &["--threads", "2"]).success());
     let golden = sweep_json(&dir);
     fs::remove_dir_all(dir.join("results")).unwrap();
 
     // `--crash-seed` derives the abort ordinal (1..=jobs) from the seed,
     // the host-level analogue of the chaos suite's derived fault plans.
-    let st = run_all(&dir, &["--threads", "2", "--crash-seed", "0xc4a5"]);
+    let st = repro(&dir, &["--threads", "2", "--crash-seed", "0xc4a5"]);
     assert!(!st.success(), "derived crash must die");
-    assert!(run_all(&dir, &["--threads", "2", "--resume"]).success());
+    assert!(repro(&dir, &["--threads", "2", "--resume"]).success());
     assert_eq!(sweep_json(&dir), golden);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -88,7 +100,7 @@ fn derived_crash_points_behave_like_explicit_ones() {
 #[test]
 fn sigkill_mid_sweep_resumes_to_the_uninterrupted_outputs() {
     let dir = tmpdir("sigkill");
-    assert!(run_all(&dir, &["--threads", "4"]).success());
+    assert!(repro(&dir, &["--threads", "4"]).success());
     let golden = sweep_json(&dir);
     fs::remove_dir_all(dir.join("results")).unwrap();
 
@@ -96,14 +108,14 @@ fn sigkill_mid_sweep_resumes_to_the_uninterrupted_outputs() {
     // holds at least one data record, then SIGKILL (`Child::kill` on
     // unix). The child may win the race and exit cleanly — that's fine,
     // resume over a complete journal is also a supported path.
-    let mut child = Command::new(RUN_ALL)
+    let mut child = Command::new(REPRO)
         .current_dir(&dir)
         .args(["--max-n", "1000", "--journal", "--threads", "4"])
         .stdout(Stdio::null())
         .stderr(Stdio::null())
         .spawn()
-        .expect("spawn run_all");
-    let journal = dir.join("results/run_all.journal");
+        .expect("spawn repro");
+    let journal = dir.join("results/repro.journal");
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
         if child.try_wait().expect("try_wait").is_some() {
@@ -122,7 +134,46 @@ fn sigkill_mid_sweep_resumes_to_the_uninterrupted_outputs() {
     }
     child.wait().expect("reap child");
 
-    assert!(run_all(&dir, &["--threads", "4", "--resume"]).success());
+    assert!(repro(&dir, &["--threads", "4", "--resume"]).success());
     assert_eq!(sweep_json(&dir), golden, "post-SIGKILL resume diverged");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_plain_run_and_a_journaled_run_write_the_same_digest_file() {
+    let dir = tmpdir("plain");
+    assert!(repro(&dir, &["--threads", "2"]).success());
+    let journaled = sweep_json(&dir);
+    fs::remove_dir_all(dir.join("results")).unwrap();
+
+    // The plain run on 2 workers also runs the serial reference and
+    // compares the two digests before it writes the file.
+    assert_eq!(run(&dir, &["--max-n", "1000", "--threads", "2"]).0, Some(0));
+    assert_eq!(sweep_json(&dir), journaled);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_refuses_a_journal_of_another_job_list() {
+    let dir = tmpdir("other-list");
+    assert!(repro(&dir, &[]).success());
+    let golden = sweep_json(&dir);
+    fs::remove_dir_all(dir.join("results")).unwrap();
+    assert!(!repro(&dir, &["--crash-at", "5"]).success());
+
+    // The queue tag digests every job's name, configuration and weight,
+    // so other sizes or another row list name another job list.
+    for other in [
+        &["--max-n", "100"][..],
+        &["--max-n", "1000", "table1", "table2"],
+    ] {
+        let args = [&["--journal", "--resume"][..], other].concat();
+        let (code, stderr) = run(&dir, &args);
+        assert_eq!(code, Some(1), "{other:?}: {stderr}");
+        assert!(stderr.contains("belongs to"), "{other:?}: {stderr}");
+    }
+    // A refusal leaves the journal as it was: its own job list resumes it.
+    assert!(repro(&dir, &["--resume"]).success());
+    assert_eq!(sweep_json(&dir), golden);
     fs::remove_dir_all(&dir).unwrap();
 }
