@@ -59,9 +59,10 @@
 //! uninterrupted run's. See the [`journal`] module docs.
 //!
 //! ```
-//! use rvv_batch::{BatchJob, BatchRunner};
+//! use rvv_batch::{BatchJob, BatchRunner, Engine};
 //! use scanvec::EnvConfig;
 //! use scanvec::primitives::plus_scan;
+//! use std::sync::Arc;
 //!
 //! let jobs: Vec<BatchJob<Vec<u32>>> = [100usize, 1000]
 //!     .iter()
@@ -74,7 +75,7 @@
 //!         .weight(n as u64)
 //!     })
 //!     .collect();
-//! let serial = BatchRunner::new(1).run(jobs);
+//! let serial = BatchRunner::with_engine(1, Arc::new(Engine::new())).run(jobs);
 //! assert_eq!(serial.reports[0].output().unwrap().last(), Some(&100));
 //! // One plan registry, every kernel compiled once across the whole sweep.
 //! assert!(serial.plan_compiles > 0);

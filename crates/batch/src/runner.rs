@@ -30,17 +30,11 @@ pub struct BatchRunner {
 }
 
 impl BatchRunner {
-    /// A runner with `threads` workers (clamped to at least 1) over a
-    /// private default [`Engine`] (fresh plan registry, no policy).
-    pub fn new(threads: usize) -> BatchRunner {
-        BatchRunner::with_engine(threads, Arc::new(Engine::new()))
-    }
-
-    /// A runner whose workers create their sessions from an existing
-    /// engine — share one `Arc<Engine>` across runners, serial sessions,
-    /// and harnesses, and a kernel configuration is compiled once
-    /// process-wide while every consumer inherits the same policy
-    /// defaults.
+    /// A runner with `threads` workers (clamped to at least 1) whose
+    /// workers create their sessions from `engine` — share one
+    /// `Arc<Engine>` across runners, serial sessions, and harnesses, and a
+    /// kernel configuration is compiled once process-wide while every
+    /// consumer inherits the same policy defaults.
     pub fn with_engine(threads: usize, engine: Arc<Engine>) -> BatchRunner {
         BatchRunner {
             threads: threads.max(1),

@@ -75,7 +75,7 @@ fn jobs() -> Vec<BatchJob<(u64, Vec<u32>)>> {
 fn thread_count_never_changes_the_output() {
     let runs: Vec<_> = [1usize, 2, 8]
         .into_iter()
-        .map(|t| BatchRunner::new(t).run(jobs()))
+        .map(|t| BatchRunner::with_engine(t, Arc::new(Engine::new())).run(jobs()))
         .collect();
     let reference = runs[0].stable_digest();
     assert!(runs[0].all_ok());
@@ -99,8 +99,8 @@ fn thread_count_never_changes_the_output() {
 
 #[test]
 fn merged_profiles_are_thread_count_invariant() {
-    let a = BatchRunner::new(1).run(jobs());
-    let b = BatchRunner::new(4).run(jobs());
+    let a = BatchRunner::with_engine(1, Arc::new(Engine::new())).run(jobs());
+    let b = BatchRunner::with_engine(4, Arc::new(Engine::new())).run(jobs());
     let (pa, pb) = (
         a.profile.expect("traced jobs"),
         b.profile.expect("traced jobs"),
@@ -132,7 +132,7 @@ fn costed_sweep_digest_is_thread_count_invariant() {
     };
     let runs: Vec<_> = [1usize, 2, 4]
         .into_iter()
-        .map(|t| BatchRunner::new(t).run(costed()))
+        .map(|t| BatchRunner::with_engine(t, Arc::new(Engine::new())).run(costed()))
         .collect();
     assert!(runs[0].all_ok());
     let reference = runs[0].stable_digest();
@@ -161,7 +161,7 @@ fn costed_sweep_digest_is_thread_count_invariant() {
     let p = runs[0].profile.as_ref().expect("traced jobs");
     assert!(p.cycles().expect("costed profile").total() > 0);
     // An uncosted run of the same jobs keeps the original digest shape.
-    let plain = BatchRunner::new(2).run(jobs());
+    let plain = BatchRunner::with_engine(2, Arc::new(Engine::new())).run(jobs());
     assert!(!plain.stable_digest().contains("cycles="));
     assert!(plain.cycles.is_none());
 }
@@ -229,8 +229,8 @@ fn threads_sessioning_one_engine_compile_each_config_once() {
 
 #[test]
 fn worker_assignment_is_deterministic_and_scheduling_independent() {
-    let a = BatchRunner::new(3).run(jobs());
-    let b = BatchRunner::new(3).run(jobs());
+    let a = BatchRunner::with_engine(3, Arc::new(Engine::new())).run(jobs());
+    let b = BatchRunner::with_engine(3, Arc::new(Engine::new())).run(jobs());
     let workers = |r: &rvv_batch::BatchResult<(u64, Vec<u32>)>| {
         r.reports.iter().map(|j| j.worker).collect::<Vec<_>>()
     };

@@ -10,12 +10,15 @@
 //! also exercised there.
 
 use rvv_batch::journal::{run_journaled, JournalOptions};
-use rvv_batch::{BatchJob, BatchResult, BatchRunner, CostModel, JobOutcome, JournalPayload};
+use rvv_batch::{
+    BatchJob, BatchResult, BatchRunner, CostModel, Engine, JobOutcome, JournalPayload,
+};
 use rvv_ckpt::{fs_backend, read_journal_on, ByteReader, ByteWriter};
 use scanvec::primitives::{plus_scan, seg_plus_scan};
 use scanvec::{EnvConfig, HEAP_BASE};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!(
@@ -81,11 +84,11 @@ fn digest_of(result: &BatchResult<u64>) -> String {
 fn journaled_run_matches_plain_run_and_journal_is_replayable() {
     let dir = tmpdir("plain");
     let path = dir.join("sweep.journal");
-    let golden = digest_of(&BatchRunner::new(2).run(jobs()));
+    let golden = digest_of(&BatchRunner::with_engine(2, Arc::new(Engine::new())).run(jobs()));
 
     // A fresh journaled run produces the same digest...
     let journaled = run_journaled(
-        &BatchRunner::new(2),
+        &BatchRunner::with_engine(2, Arc::new(Engine::new())),
         jobs(),
         &path,
         &JournalOptions::default(),
@@ -101,7 +104,7 @@ fn journaled_run_matches_plain_run_and_journal_is_replayable() {
     // Resuming a *complete* journal replays everything and runs nothing;
     // the digest still matches, and failures come back as Replayed.
     let resumed = run_journaled(
-        &BatchRunner::new(2),
+        &BatchRunner::with_engine(2, Arc::new(Engine::new())),
         jobs(),
         &path,
         &JournalOptions {
@@ -130,10 +133,10 @@ fn journaled_run_matches_plain_run_and_journal_is_replayable() {
 #[test]
 fn every_truncation_point_resumes_to_the_golden_digest_at_any_thread_count() {
     let dir = tmpdir("truncate");
-    let golden = digest_of(&BatchRunner::new(1).run(jobs()));
+    let golden = digest_of(&BatchRunner::with_engine(1, Arc::new(Engine::new())).run(jobs()));
     let path = dir.join("full.journal");
     run_journaled(
-        &BatchRunner::new(1),
+        &BatchRunner::with_engine(1, Arc::new(Engine::new())),
         jobs(),
         &path,
         &JournalOptions::default(),
@@ -160,7 +163,7 @@ fn every_truncation_point_resumes_to_the_golden_digest_at_any_thread_count() {
             let torn = (end + 7).min(full.len());
             fs::write(&p, &full[..torn]).unwrap();
             let resumed = run_journaled(
-                &BatchRunner::new(threads),
+                &BatchRunner::with_engine(threads, Arc::new(Engine::new())),
                 jobs(),
                 &p,
                 &JournalOptions {
@@ -177,7 +180,7 @@ fn every_truncation_point_resumes_to_the_golden_digest_at_any_thread_count() {
             // The resumed journal is whole again: resumable once more,
             // also after a cut inside the submit batch.
             let again = run_journaled(
-                &BatchRunner::new(threads),
+                &BatchRunner::with_engine(threads, Arc::new(Engine::new())),
                 jobs(),
                 &p,
                 &JournalOptions {
@@ -201,7 +204,7 @@ fn resume_refuses_a_journal_for_a_different_sweep() {
     let dir = tmpdir("mismatch");
     let path = dir.join("sweep.journal");
     run_journaled(
-        &BatchRunner::new(1),
+        &BatchRunner::with_engine(1, Arc::new(Engine::new())),
         jobs(),
         &path,
         &JournalOptions::default(),
@@ -212,7 +215,7 @@ fn resume_refuses_a_journal_for_a_different_sweep() {
     let mut other = jobs();
     other.truncate(3);
     let err = run_journaled(
-        &BatchRunner::new(1),
+        &BatchRunner::with_engine(1, Arc::new(Engine::new())),
         other,
         &path,
         &JournalOptions {
@@ -229,7 +232,7 @@ fn resume_refuses_a_journal_for_a_different_sweep() {
     // Garbage at the path: refused, not misread.
     fs::write(&path, b"not a journal at all").unwrap();
     assert!(run_journaled(
-        &BatchRunner::new(1),
+        &BatchRunner::with_engine(1, Arc::new(Engine::new())),
         jobs(),
         &path,
         &JournalOptions {
@@ -244,10 +247,10 @@ fn resume_refuses_a_journal_for_a_different_sweep() {
 #[test]
 fn a_corrupt_done_record_is_salvaged_and_its_job_reruns() {
     let dir = tmpdir("salvage");
-    let golden = digest_of(&BatchRunner::new(1).run(jobs()));
+    let golden = digest_of(&BatchRunner::with_engine(1, Arc::new(Engine::new())).run(jobs()));
     let path = dir.join("full.journal");
     run_journaled(
-        &BatchRunner::new(1),
+        &BatchRunner::with_engine(1, Arc::new(Engine::new())),
         jobs(),
         &path,
         &JournalOptions::default(),
@@ -272,7 +275,7 @@ fn a_corrupt_done_record_is_salvaged_and_its_job_reruns() {
         assert_eq!(flipped.salvage.len(), 1, "the flip is quarantined");
         for pass in ["first", "second"] {
             let resumed = run_journaled(
-                &BatchRunner::new(threads),
+                &BatchRunner::with_engine(threads, Arc::new(Engine::new())),
                 jobs(),
                 &p,
                 &JournalOptions {

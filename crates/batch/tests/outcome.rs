@@ -4,7 +4,7 @@
 //! [`ScanError::Sim`] into [`JobReport::stable_line`] and the degraded
 //! manifest.
 
-use rvv_batch::{BatchJob, BatchRunner, EnvConfig, JobOutcome, ScanEnv};
+use rvv_batch::{BatchJob, BatchRunner, Engine, EnvConfig, JobOutcome, ScanEnv};
 use rvv_sim::SimError;
 use scanvec::primitives::{plus_scan, seg_plus_scan};
 use scanvec::{ScanError, HEAP_BASE};
@@ -72,7 +72,7 @@ fn mixed_jobs() -> Vec<BatchJob<u64>> {
 
 #[test]
 fn every_failure_mode_is_classified() {
-    let result = BatchRunner::new(1).run(mixed_jobs());
+    let result = BatchRunner::with_engine(1, Arc::new(Engine::new())).run(mixed_jobs());
     assert_eq!(
         result.reports.len(),
         6,
@@ -108,7 +108,7 @@ fn every_failure_mode_is_classified() {
 
 #[test]
 fn stable_lines_carry_full_failure_detail_but_no_scheduling_data() {
-    let result = BatchRunner::new(1).run(mixed_jobs());
+    let result = BatchRunner::with_engine(1, Arc::new(Engine::new())).run(mixed_jobs());
     let lines: Vec<String> = result.reports.iter().map(|r| r.stable_line()).collect();
     // The trap's Display — byte address included — lands verbatim in the
     // stable serialization, in the same `err …` form ScanResult used.
@@ -134,7 +134,7 @@ fn stable_lines_carry_full_failure_detail_but_no_scheduling_data() {
 fn degraded_summary_is_thread_count_invariant() {
     let runs: Vec<_> = [1usize, 2, 4]
         .into_iter()
-        .map(|t| BatchRunner::new(t).run(mixed_jobs()))
+        .map(|t| BatchRunner::with_engine(t, Arc::new(Engine::new())).run(mixed_jobs()))
         .collect();
     let reference = runs[0].degraded().expect("mixed batch has failures");
     assert_eq!(reference.total, 6);
@@ -177,7 +177,7 @@ fn retries_rerun_failed_attempts_in_a_fresh_environment() {
     .retries(2);
     let hopeless = trapped_job("hopeless").retries(2);
 
-    let result = BatchRunner::new(1).run(vec![flaky, hopeless]);
+    let result = BatchRunner::with_engine(1, Arc::new(Engine::new())).run(vec![flaky, hopeless]);
     let r = &result.reports;
     assert!(r[0].outcome.is_ok(), "retry must recover the flaky job");
     assert_eq!(
@@ -192,7 +192,7 @@ fn retries_rerun_failed_attempts_in_a_fresh_environment() {
 
     // Attempt counts are reported but quarantined: the flaky job's stable
     // line equals a never-failing twin's.
-    let clean = BatchRunner::new(1).run(vec![ok_job("flaky")]);
+    let clean = BatchRunner::with_engine(1, Arc::new(Engine::new())).run(vec![ok_job("flaky")]);
     assert_eq!(r[0].stable_line(), clean.reports[0].stable_line());
 }
 
@@ -208,7 +208,7 @@ fn panicked_jobs_poison_only_their_own_environment() {
             jobs.push(ok_job(&format!("fine/{i}")));
         }
     }
-    let result = BatchRunner::new(4).run(jobs);
+    let result = BatchRunner::with_engine(4, Arc::new(Engine::new())).run(jobs);
     for (i, r) in result.reports.iter().enumerate() {
         if i % 3 == 1 {
             assert!(matches!(r.outcome, JobOutcome::Panicked(_)), "{}", r.name);
@@ -216,7 +216,7 @@ fn panicked_jobs_poison_only_their_own_environment() {
             assert!(r.outcome.is_ok(), "{} was contaminated", r.name);
         }
     }
-    let serial = BatchRunner::new(1).run(
+    let serial = BatchRunner::with_engine(1, Arc::new(Engine::new())).run(
         (0..12)
             .map(|i| {
                 if i % 3 == 1 {

@@ -284,10 +284,11 @@ mod tests {
 
     #[test]
     fn jobs_are_deterministic_across_rebuilds() {
-        use rvv_batch::BatchRunner;
+        use rvv_batch::{BatchRunner, Engine};
+        use std::sync::Arc;
         let spec: JobSpec = "seg_scan n=500 vlen=256 lmul=m2 seed=3".parse().unwrap();
         let run = |spec: JobSpec| {
-            BatchRunner::new(1)
+            BatchRunner::with_engine(1, Arc::new(Engine::new()))
                 .run(vec![spec.to_job("job-1")])
                 .stable_digest()
         };
