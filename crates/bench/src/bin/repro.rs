@@ -13,8 +13,8 @@
 //!
 //! * Determinism. At `--threads` above 1 the batch also runs serially, as
 //!   the reference, and the two runs' stable digests (every point, retired
-//!   count and counter; no timing) must be equal. A divergence prints both
-//!   on stderr and exits 1.
+//!   count and counter, and a costed job's cycles; no timing) must be
+//!   equal. A divergence prints both on stderr and exits 1.
 //! * Faults. `--inject-seed <S>` arms `FaultPlan::derive(S, job index)` on
 //!   every point job, under an instruction watchdog. The failed jobs go to
 //!   `results/failure_manifest.txt`, which is printed in place of the

@@ -338,10 +338,11 @@ fn two((a, b): (u64, u64)) -> [u64; 2] {
     [a, b]
 }
 
-/// The cost row's kernels: each one's jobs at every size and LMUL,
-/// costed under the ara-like model, the scan's sizes first.
+/// The cost row's kernels, in job order.
 const COST_KERNELS: [&str; 2] = ["scan", "seg_scan"];
 
+/// The cost row's jobs: each kernel at every size and LMUL, costed under
+/// the ara-like model, the scan's jobs first.
 fn costed_lmul_jobs(sizes: &[usize]) -> Vec<BatchJob<Point>> {
     let configs = lmuls(SpillProfile::llvm14());
     let scan = grid(sizes, &configs, |e, n| {

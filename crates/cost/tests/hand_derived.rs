@@ -80,10 +80,10 @@ fn cycles(avl: u64, instrs: Vec<Instr>) -> [u64; 3] {
 ///   and ends at 18 + 13 + 4 = 35. `ecall` at t = 4. Total 35.
 /// * vitruvius-like: two issue slots a cycle, so `vsetvli` and `vle32`
 ///   issue at t = 0, `vadd` and `vse32` at t = 1, `ecall` at t = 2.
-///   `vle32`: lat = 4 + 30 - 1 = 33, beats = 128 / 64 = 2, ends at 0 + 32
-///   + 2 = 34, chains from 32. `vadd` starts at 32 and ends at 32 + 5 +
-///   32 / 8 = 41, chaining from 37. `vse32` starts at max(1, 37, 34) = 37
-///   and ends at 37 + 32 + 2 = 71. Total 71.
+///   `vle32`: lat = 4 + 30 - 1 = 33, beats = 128 / 64 = 2, so it ends at
+///   0 + 32 + 2 = 34 and chains from 32. `vadd` starts at 32 and ends at
+///   32 + 5 + 32 / 8 = 41, chaining from 37. `vse32` starts at
+///   max(1, 37, 34) = 37 and ends at 37 + 32 + 2 = 71. Total 71.
 #[test]
 fn one_strip_of_load_add_store() {
     let v8 = VReg::new(8);
