@@ -13,7 +13,7 @@ use rvv_batch::journal::{run_journaled, JournalOptions};
 use rvv_batch::{
     BatchJob, BatchResult, BatchRunner, CostModel, Engine, JobOutcome, JournalPayload,
 };
-use rvv_ckpt::{fs_backend, read_journal_on, ByteReader, ByteWriter};
+use rvv_ckpt::{parse_journal, ByteReader, ByteWriter};
 use scanvec::primitives::{plus_scan, seg_plus_scan};
 use scanvec::{EnvConfig, HEAP_BASE};
 use std::fs;
@@ -98,7 +98,8 @@ fn journaled_run_matches_plain_run_and_journal_is_replayable() {
     assert!(journaled.degraded().is_some(), "the sweep has failures");
 
     // ...and left a submit and a done record per job behind it.
-    let journal = read_journal_on(&fs_backend(), &path).unwrap();
+    let bytes = fs::read(&path).unwrap();
+    let journal = parse_journal(&bytes, "journal").unwrap();
     assert_eq!(journal.records.len(), 2 * jobs().len());
 
     // Resuming a *complete* journal replays everything and runs nothing;
@@ -143,13 +144,14 @@ fn every_truncation_point_resumes_to_the_golden_digest_at_any_thread_count() {
     )
     .unwrap();
     let full = fs::read(&path).unwrap();
-    let journal = read_journal_on(&fs_backend(), &path).unwrap();
+    let journal = parse_journal(&full, "full.journal").unwrap();
 
     // Record boundaries in the file: header end, then each record end.
     let mut boundaries = Vec::new();
     let mut pos = 0usize;
-    for payload_len in
-        std::iter::once(journal.header.len()).chain(journal.records.iter().map(Vec::len))
+    for payload_len in std::iter::once(journal.header)
+        .chain(journal.records)
+        .map(<[u8]>::len)
     {
         pos += 4 + 8 + payload_len;
         boundaries.push(pos);
@@ -257,7 +259,7 @@ fn a_corrupt_done_record_is_salvaged_and_its_job_reruns() {
     )
     .unwrap();
     let mut bytes = fs::read(&path).unwrap();
-    let journal = read_journal_on(&fs_backend(), &path).unwrap();
+    let journal = parse_journal(&bytes, "full.journal").unwrap();
 
     // Flip a byte in the middle of the third done record (the submits
     // come first, one per job): an interior record, not the tail.
@@ -266,12 +268,14 @@ fn a_corrupt_done_record_is_salvaged_and_its_job_reruns() {
         .chain(&journal.records[..victim])
         .map(|payload| 4 + 8 + payload.len())
         .sum();
-    bytes[start + 12 + journal.records[victim].len() / 2] ^= 0x40;
+    let flip = start + 12 + journal.records[victim].len() / 2;
+    bytes[flip] ^= 0x40;
 
     for threads in [1, 2, 4] {
         let p = dir.join(format!("flipped-t{threads}.journal"));
         fs::write(&p, &bytes).unwrap();
-        let flipped = read_journal_on(&fs_backend(), &p).unwrap();
+        let flipped_bytes = fs::read(&p).unwrap();
+        let flipped = parse_journal(&flipped_bytes, "flipped.journal").unwrap();
         assert_eq!(flipped.salvage.len(), 1, "the flip is quarantined");
         for pass in ["first", "second"] {
             let resumed = run_journaled(

@@ -102,7 +102,7 @@ impl fmt::Display for Report {
 
 /// Digest stable across journal compaction: FNV-1a over each verified
 /// record payload framed by its `u32` length, header record first.
-fn records_digest(header: &[u8], records: &[Vec<u8>]) -> u64 {
+fn records_digest(header: &[u8], records: &[&[u8]]) -> u64 {
     let mut w = ByteWriter::new();
     w.put_bytes(header);
     for r in records {
@@ -190,10 +190,10 @@ pub fn inspect(backend: &Arc<dyn StorageBackend>, path: &Path) -> Report {
             };
             Report {
                 path: path.to_path_buf(),
-                kind: format!("journal({})", header_kind(&j.header)),
+                kind: format!("journal({})", header_kind(j.header)),
                 health,
                 records: j.records.len(),
-                records_digest: Some(records_digest(&j.header, &j.records)),
+                records_digest: Some(records_digest(j.header, &j.records)),
                 salvage: j.salvage,
                 notes,
             }
@@ -295,9 +295,8 @@ pub fn repair(backend: &Arc<dyn StorageBackend>, path: &Path) -> io::Result<Repo
         compact.extend_from_slice(&fnv1a(payload).to_le_bytes());
         compact.extend_from_slice(payload);
     };
-    put(&j.header);
-    for r in &j.records {
-        put(r);
+    for payload in std::iter::once(j.header).chain(j.records) {
+        put(payload);
     }
     write_atomic_on(backend, path, &compact)?;
     Ok(inspect(backend, path))

@@ -5,9 +5,10 @@
 //! ([`ByteWriter`]/[`ByteReader`]), a versioned digest-stamped frame
 //! ([`seal`]/[`open`]) used by machine and environment snapshots, a
 //! length-prefixed FNV-checksummed write-ahead journal
-//! ([`JournalWriter`]/[`read_journal_on`]) whose reader tolerates a torn
+//! ([`JournalWriter`]/[`parse_journal`]) whose reader tolerates a torn
 //! tail *and salvages around mid-stream corruption* (see
-//! [`SalvageEntry`]), the durable job queue built on it
+//! [`SalvageEntry`]) and borrows every record from the bytes the storage
+//! backend returned, the durable job queue built on it
 //! ([`queue::QueueJournal`], which the sweep service and journaled batch
 //! sweeps both write), and [`write_atomic`] (write-temp-then-rename) so a
 //! crash never leaves a truncated manifest.
@@ -54,15 +55,43 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a 64-bit hash — the same function (and constants) the batch
 /// engine's stable digests are built on.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_from(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash whose state is `h` over `bytes`.
+fn fnv1a_from(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// [`fnv1a`] of four byte strings at once. Over their common length the
+/// four lanes are independent multiply chains the CPU overlaps; each lane
+/// then finishes its own tail. Lane `i` equals `fnv1a(bytes[i])`.
+fn fnv1a_x4(bytes: [&[u8]; 4]) -> [u64; 4] {
+    let [a, b, c, d] = bytes;
+    let n = a.len().min(b.len()).min(c.len()).min(d.len());
+    let mut h = [FNV_OFFSET; 4];
+    for (((&x, &y), &z), &w) in a[..n].iter().zip(&b[..n]).zip(&c[..n]).zip(&d[..n]) {
+        h[0] = (h[0] ^ u64::from(x)).wrapping_mul(FNV_PRIME);
+        h[1] = (h[1] ^ u64::from(y)).wrapping_mul(FNV_PRIME);
+        h[2] = (h[2] ^ u64::from(z)).wrapping_mul(FNV_PRIME);
+        h[3] = (h[3] ^ u64::from(w)).wrapping_mul(FNV_PRIME);
+    }
+    [
+        fnv1a_from(h[0], &a[n..]),
+        fnv1a_from(h[1], &b[n..]),
+        fnv1a_from(h[2], &c[n..]),
+        fnv1a_from(h[3], &d[n..]),
+    ]
 }
 
 /// Why a decode failed. Every variant names what was being read, so the
@@ -417,7 +446,8 @@ impl fmt::Display for SalvageEntry {
     }
 }
 
-/// A write-ahead journal file read back from disk.
+/// A write-ahead journal read back from its bytes, borrowing every
+/// record from them.
 ///
 /// The first record is the caller's header (typically a [`seal`]ed
 /// description of the job list); the rest are data records in append
@@ -429,44 +459,76 @@ impl fmt::Display for SalvageEntry {
 /// range into `salvage` and resynchronizes on the next record whose
 /// checksum verifies.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Journal {
+pub struct Journal<'a> {
     /// Payload of the header record.
-    pub header: Vec<u8>,
+    pub header: &'a [u8],
     /// Data-record payloads, in append order.
-    pub records: Vec<Vec<u8>>,
+    pub records: Vec<&'a [u8]>,
     /// Byte length of the parsed prefix of the file.
     pub valid_len: u64,
     /// Quarantined mid-stream ranges, in file order (empty = clean read).
     pub salvage: Vec<SalvageEntry>,
 }
 
-/// Is there a well-formed record at `bytes[pos..]`?
-fn record_at(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+/// The whole frame at `bytes[pos..]`: its payload and stamped digest, or
+/// `None` when its header or payload runs past the end of `bytes`.
+fn frame_at(bytes: &[u8], pos: usize) -> Option<(&[u8], u64)> {
     let rest = &bytes[pos..];
     if rest.len() < RECORD_HEADER {
         return None;
     }
     let len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
     let stamped = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-    let payload = rest.get(RECORD_HEADER..RECORD_HEADER + len)?;
-    if fnv1a(payload) != stamped {
-        return None;
+    Some((rest.get(RECORD_HEADER..RECORD_HEADER + len)?, stamped))
+}
+
+/// Is there a well-formed record at `bytes[pos..]`?
+fn record_at(bytes: &[u8], pos: usize) -> Option<(&[u8], usize)> {
+    let (payload, stamped) = frame_at(bytes, pos)?;
+    (fnv1a(payload) == stamped).then_some((payload, RECORD_HEADER + payload.len()))
+}
+
+/// Four well-formed records in a row at `bytes[pos..]`, and the bytes
+/// they span. The four checksums run in lockstep ([`fnv1a_x4`]); `None`
+/// when a frame is not whole or any checksum fails, and the caller then
+/// takes the one-record step. Each frame is judged by its own bytes, as
+/// [`record_at`] judges it, so four records taken here are the four the
+/// one-record step would take in turn.
+fn four_records_at(bytes: &[u8], pos: usize) -> Option<([&[u8]; 4], usize)> {
+    let mut frames = [(&bytes[..0], 0u64); 4];
+    let mut end = pos;
+    for frame in &mut frames {
+        *frame = frame_at(bytes, end)?;
+        end += RECORD_HEADER + frame.0.len();
     }
-    Some((payload, RECORD_HEADER + len))
+    let payloads = frames.map(|(payload, _)| payload);
+    let computed = fnv1a_x4(payloads);
+    let verified = frames
+        .iter()
+        .zip(computed)
+        .all(|(&(_, stamped), h)| h == stamped);
+    verified.then_some((payloads, end - pos))
 }
 
 /// Parse journal bytes, salvaging around corruption (see [`Journal`]).
+/// Every record is a slice of `bytes`; nothing is copied. Read the bytes
+/// through the storage backend ([`StorageBackend::read`]) first.
 ///
 /// Errors only when even the header record is absent or corrupt — the
 /// bytes are not a journal, or the writer was killed before the header
 /// fsync completed; nothing can be resumed from them.
-pub fn parse_journal(bytes: &[u8], label: &str) -> io::Result<Journal> {
+pub fn parse_journal<'a>(bytes: &'a [u8], label: &str) -> io::Result<Journal<'a>> {
     let mut records = Vec::new();
     let mut salvage = Vec::new();
     let mut pos = 0usize;
     while bytes.len() - pos >= RECORD_HEADER {
+        if let Some((four, sz)) = four_records_at(bytes, pos) {
+            records.extend(four);
+            pos += sz;
+            continue;
+        }
         if let Some((payload, sz)) = record_at(bytes, pos) {
-            records.push(payload.to_vec());
+            records.push(payload);
             pos += sz;
             continue;
         }
@@ -524,13 +586,6 @@ pub fn parse_journal(bytes: &[u8], label: &str) -> io::Result<Journal> {
     })
 }
 
-/// Read a journal file through `backend`, tolerating a torn tail and
-/// salvaging around mid-stream corruption (see [`parse_journal`]).
-pub fn read_journal_on(backend: &Arc<dyn StorageBackend>, path: &Path) -> io::Result<Journal> {
-    let bytes = backend.read(path)?;
-    parse_journal(&bytes, &path.display().to_string())
-}
-
 /// Appending side of the write-ahead journal.
 ///
 /// `fsync_every = K` syncs the file after every Kth appended record
@@ -586,7 +641,7 @@ impl JournalWriter {
 
     /// Reopen an existing journal for appending through `backend`,
     /// truncating the torn tail first: `valid_len` comes from
-    /// [`read_journal_on`]. The truncation is fsynced before this returns —
+    /// [`parse_journal`]. The truncation is fsynced before this returns —
     /// without that, a crash immediately after resume could resurrect
     /// the discarded tail and interleave it with freshly appended
     /// records.
@@ -826,7 +881,8 @@ mod tests {
             }
             assert_eq!(w.appended(), 5);
         }
-        let j = read_journal_on(&fs_backend(), &path).unwrap();
+        let bytes = fs_backend().read(&path).unwrap();
+        let j = parse_journal(&bytes, "t.journal").unwrap();
         assert_eq!(j.header, b"HDR");
         assert_eq!(j.records, records);
         assert_eq!(j.valid_len, fs::metadata(&path).unwrap().len());
@@ -834,7 +890,8 @@ mod tests {
         // Tear the tail mid-record: the valid prefix survives.
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 2]).unwrap();
-        let torn = read_journal_on(&fs_backend(), &path).unwrap();
+        let bytes = fs_backend().read(&path).unwrap();
+        let torn = parse_journal(&bytes, "t.journal").unwrap();
         assert_eq!(torn.records, records[..4].to_vec());
 
         // Resume truncates the tear and appends cleanly.
@@ -842,7 +899,8 @@ mod tests {
             let mut w = JournalWriter::resume_on(&fs_backend(), &path, torn.valid_len, 1).unwrap();
             w.append(&records[4]).unwrap();
         }
-        let healed = read_journal_on(&fs_backend(), &path).unwrap();
+        let bytes = fs_backend().read(&path).unwrap();
+        let healed = parse_journal(&bytes, "t.journal").unwrap();
         assert_eq!(healed.records, records);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -880,7 +938,8 @@ mod tests {
             let mut w = JournalWriter::create_on(&backend, path, b"HDR", 0).unwrap();
             w.append_all(records.iter().map(Vec::as_slice)).unwrap();
             chaos.crash();
-            let j = read_journal_on(&backend, path).unwrap();
+            let bytes = backend.read(path).unwrap();
+            let j = parse_journal(&bytes, "t.journal").unwrap();
             assert!(j.salvage.is_empty());
             assert_eq!(j.records, records[..j.records.len()].to_vec());
             seen.insert(j.records.len());
@@ -905,7 +964,7 @@ mod tests {
         let n = bytes.len();
         bytes[n - 1] ^= 0xff; // corrupt the last record's payload
         fs::write(&path, &bytes).unwrap();
-        let j = read_journal_on(&fs_backend(), &path).unwrap();
+        let j = parse_journal(&bytes, "t.journal").unwrap();
         assert_eq!(j.records, vec![b"first".to_vec()]);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -915,9 +974,9 @@ mod tests {
         let dir = tmpdir("nohdr");
         let path = dir.join("t.journal");
         fs::write(&path, [0u8; 7]).unwrap();
-        assert!(read_journal_on(&fs_backend(), &path).is_err());
+        assert!(parse_journal(&fs_backend().read(&path).unwrap(), "t.journal").is_err());
         fs::write(&path, b"").unwrap();
-        assert!(read_journal_on(&fs_backend(), &path).is_err());
+        assert!(parse_journal(&fs_backend().read(&path).unwrap(), "t.journal").is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

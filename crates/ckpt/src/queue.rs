@@ -23,7 +23,7 @@
 //! bytes.
 
 use crate::{
-    fs_backend, open, read_journal_on, seal, ByteReader, ByteWriter, JournalWriter, SalvageEntry,
+    fs_backend, open, parse_journal, seal, ByteReader, ByteWriter, JournalWriter, SalvageEntry,
     StorageBackend,
 };
 use std::collections::BTreeMap;
@@ -36,22 +36,23 @@ const HEADER_VERSION: u16 = 1;
 const TAG_SUBMIT: u8 = 1;
 const TAG_DONE: u8 = 2;
 
-/// One decoded queue record.
+/// One decoded queue record, borrowing its payload from the journal's
+/// bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum QueueEntry {
+pub enum QueueEntry<'a> {
     /// A job was accepted: journaled before the client was acknowledged.
     Submit {
         /// Monotonic job id (assigned by the queue owner).
         id: u64,
         /// The job's specification, verbatim.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
     /// A job finished (successfully or not — the payload records which).
     Done {
         /// The id from the matching submit record.
         id: u64,
         /// The job's result record, verbatim.
-        payload: Vec<u8>,
+        payload: &'a [u8],
     },
 }
 
@@ -110,12 +111,12 @@ fn encode_entry(tag: u8, id: u64, payload: &[u8]) -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_entry(record: &[u8]) -> io::Result<QueueEntry> {
+fn decode_entry(record: &[u8]) -> io::Result<QueueEntry<'_>> {
     let mut r = ByteReader::new(record);
     let entry = (|| {
         let tag = r.get_u8()?;
         let id = r.get_u64()?;
-        let payload = r.get_bytes()?.to_vec();
+        let payload = r.get_bytes()?;
         Ok::<_, crate::CodecError>((tag, id, payload))
     })()
     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("queue record: {e}")))?;
@@ -154,7 +155,10 @@ impl QueueJournal {
     /// Reopen a queue journal, replaying its valid prefix: verifies the
     /// header (kind, version, `tag`), folds submit/done pairs into a
     /// [`QueueRecovery`], truncates any torn tail, and returns a writer
-    /// positioned to append.
+    /// positioned to append. The replay is one pass over the bytes the
+    /// backend returned: records stay borrowed while they are folded, and
+    /// only the payloads that leave in the recovery (pending submits and
+    /// first dones) are copied, once each.
     pub fn resume(
         path: &Path,
         tag: &str,
@@ -170,9 +174,10 @@ impl QueueJournal {
         tag: &str,
         fsync_every: u32,
     ) -> io::Result<(QueueJournal, QueueRecovery)> {
-        let journal = read_journal_on(backend, path)?;
+        let bytes = backend.read(path)?;
+        let journal = parse_journal(&bytes, &path.display().to_string())?;
         let bad = |e: String| io::Error::new(io::ErrorKind::InvalidData, e);
-        let payload = open(HEADER_KIND, HEADER_VERSION, &journal.header)
+        let payload = open(HEADER_KIND, HEADER_VERSION, journal.header)
             .map_err(|e| bad(format!("{}: {e}", path.display())))?;
         let mut r = ByteReader::new(payload);
         let found = r
@@ -184,11 +189,11 @@ impl QueueJournal {
                 path.display()
             )));
         }
-        let mut submitted: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut submitted: BTreeMap<u64, &[u8]> = BTreeMap::new();
         let mut order: Vec<u64> = Vec::new();
-        let mut completed: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        let mut completed: BTreeMap<u64, &[u8]> = BTreeMap::new();
         let mut max_id = 0u64;
-        for record in &journal.records {
+        for &record in &journal.records {
             match decode_entry(record)? {
                 QueueEntry::Submit { id, payload } => {
                     if submitted.insert(id, payload).is_none() {
@@ -224,12 +229,15 @@ impl QueueJournal {
                 .filter(|id| !completed.contains_key(id))
                 .map(|id| QueueItem {
                     id: *id,
-                    payload: submitted[id].clone(),
+                    payload: submitted[id].to_vec(),
                 })
                 .collect(),
             completed: completed
                 .into_iter()
-                .map(|(id, payload)| QueueItem { id, payload })
+                .map(|(id, payload)| QueueItem {
+                    id,
+                    payload: payload.to_vec(),
+                })
                 .collect(),
             max_id,
             salvage: journal.salvage,

@@ -4,7 +4,7 @@
 //! exactly what was durable.
 
 use rvv_ckpt::queue::QueueJournal;
-use rvv_ckpt::{read_journal_on, ChaosBackend, ChaosPlan, StorageBackend};
+use rvv_ckpt::{parse_journal, ChaosBackend, ChaosPlan, StorageBackend};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -111,8 +111,9 @@ fn short_writes_are_quarantined_and_later_records_salvaged() {
         }
         drop(q);
         assert!(!ok.is_empty(), "seed {seed}: some submits should succeed");
-        let j = read_journal_on(&backend, Path::new(PATH))
-            .unwrap_or_else(|e| panic!("seed {seed}: read failed: {e}"));
+        let bytes = backend.read(Path::new(PATH)).unwrap();
+        let j =
+            parse_journal(&bytes, PATH).unwrap_or_else(|e| panic!("seed {seed}: read failed: {e}"));
         // Every fully-written record is recovered, in order, with short
         // writes quarantined around (or torn off the tail).
         let recovered: Vec<u64> = j

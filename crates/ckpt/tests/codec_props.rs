@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use rvv_ckpt::{
-    fnv1a, fs_backend, open, read_journal_on, seal, ByteReader, ByteWriter, JournalWriter,
+    fnv1a, fs_backend, open, parse_journal, seal, ByteReader, ByteWriter, JournalWriter,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -114,8 +114,9 @@ proptest! {
             }
             w.sync().unwrap();
         }
-        let j = read_journal_on(&fs_backend(), &path).unwrap();
-        prop_assert_eq!(&j.header, &header);
+        let bytes = fs_backend().read(&path).unwrap();
+        let j = parse_journal(&bytes, "p.journal").unwrap();
+        prop_assert_eq!(j.header, &header[..]);
         prop_assert_eq!(&j.records, &records);
 
         // Tear off 1..=tear bytes: the survivors are exactly a prefix.
@@ -124,8 +125,9 @@ proptest! {
         fs::write(&path, &full[..keep]).unwrap();
         // Tearing into the header record itself is a hard error; any
         // survivor must be an exact record prefix.
-        if let Ok(torn) = read_journal_on(&fs_backend(), &path) {
-            prop_assert_eq!(&torn.header, &header);
+        let bytes = fs_backend().read(&path).unwrap();
+        if let Ok(torn) = parse_journal(&bytes, "p.journal") {
+            prop_assert_eq!(torn.header, &header[..]);
             prop_assert!(torn.records.len() <= records.len());
             prop_assert_eq!(&torn.records[..], &records[..torn.records.len()]);
             prop_assert!(torn.valid_len <= keep as u64);

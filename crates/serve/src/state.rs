@@ -211,18 +211,23 @@ fn encode_payload(sweep: u64, text: &str) -> Vec<u8> {
     format!("sweep={sweep} {text}").into_bytes()
 }
 
-fn decode_payload(payload: &[u8]) -> io::Result<(u64, String)> {
+/// Split a replayed payload into its sweep id and its text. The
+/// `sweep=<id> ` prefix is drained in place, so the text keeps the
+/// payload's allocation.
+fn decode_payload(payload: Vec<u8>) -> io::Result<(u64, String)> {
     let bad = || {
         io::Error::new(
             io::ErrorKind::InvalidData,
             "queue payload missing sweep= prefix",
         )
     };
-    let text = std::str::from_utf8(payload).map_err(|_| bad())?;
+    let mut text = String::from_utf8(payload).map_err(|_| bad())?;
     let rest = text.strip_prefix("sweep=").ok_or_else(bad)?;
     let (sid, body) = rest.split_once(' ').ok_or_else(bad)?;
     let sid: u64 = sid.parse().map_err(|_| bad())?;
-    Ok((sid, body.to_string()))
+    let body_at = text.len() - body.len();
+    text.drain(..body_at);
+    Ok((sid, text))
 }
 
 impl ServeState {
@@ -289,9 +294,10 @@ impl ServeState {
         })
     }
 
-    /// Fold a journal replay back into live state: completed jobs keep
-    /// their recorded lines verbatim (this is what makes post-crash
-    /// digests byte-identical), pending jobs re-enter the queue.
+    /// Fold a journal replay back into live state, consuming it: completed
+    /// jobs keep their recorded lines verbatim, each in the allocation the
+    /// replay made (this is what makes post-crash digests byte-identical),
+    /// and pending jobs re-enter the queue.
     /// Quarantined (salvaged) ranges are surfaced — counted in `/stats`,
     /// logged, and written to a `<journal>.salvage.txt` manifest — and
     /// their lost work is already accounted for by the queue replay: a
@@ -331,8 +337,8 @@ impl ServeState {
         let mut sweeps = self.lock(&self.sweeps);
         let mut queue = self.lock(&self.queue);
         let mut max_sweep = 0u64;
-        for item in &recovery.completed {
-            let (sid, line) = decode_payload(&item.payload)?;
+        for item in recovery.completed {
+            let (sid, line) = decode_payload(item.payload)?;
             jobs.insert(item.id, JobStatus::Done(line));
             sweeps.entry(sid).or_default().push(item.id);
             max_sweep = max_sweep.max(sid);
@@ -349,8 +355,8 @@ impl ServeState {
                 ),
             ));
         }
-        for item in &recovery.pending {
-            let (sid, text) = decode_payload(&item.payload)?;
+        for item in recovery.pending {
+            let (sid, text) = decode_payload(item.payload)?;
             let spec: JobSpec = text.parse().map_err(|e| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
