@@ -49,6 +49,7 @@ use rvv_sim::Counters;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io;
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -103,7 +104,7 @@ pub struct JournalOptions {
     /// cleanup — the deterministic stand-in for `kill -9`) immediately
     /// after this many done records have been appended *by this process*.
     /// `None` runs to completion.
-    pub crash_after: Option<u64>,
+    pub crash_after: Option<NonZeroU64>,
 }
 
 /// The queue tag binding a journal to its job list: resume must be
@@ -340,7 +341,7 @@ where
         match queue.complete(index as u64, &encode_record(report)) {
             Ok(()) => {
                 *done += 1;
-                if crash_after.is_some_and(|n| *done >= n) {
+                if crash_after.is_some_and(|n| *done >= n.get()) {
                     // The deterministic kill -9: no unwinding, no Drop, no
                     // flush beyond what the append already wrote.
                     std::process::abort();

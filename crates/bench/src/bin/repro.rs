@@ -41,6 +41,7 @@ use scanvec_bench::manifest::{self, Point, Sweep, MANIFEST};
 use scanvec_bench::{
     exec_engine_arg, flag_arg, max_n_arg, num_arg, positional_args, threads_arg, usage_error,
 };
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::process::exit;
 use std::sync::Arc;
@@ -108,7 +109,10 @@ fn main() {
     }
     let (max_n, threads, exec) = (max_n_arg(), threads_arg(), exec_engine_arg());
     let inject_seed = num_arg("--inject-seed");
-    let (crash_at, crash_seed) = (num_arg("--crash-at"), num_arg("--crash-seed"));
+    let crash_at = num_arg("--crash-at").map(|n| {
+        NonZeroU64::new(n).unwrap_or_else(|| usage_error("--crash-at must be at least 1"))
+    });
+    let crash_seed = num_arg("--crash-seed");
     let rows: Vec<_> = MANIFEST
         .iter()
         .filter(|r| names.is_empty() || names.iter().any(|n| n == r.name))
@@ -138,7 +142,7 @@ fn main() {
             crash_seed.map(|seed| {
                 let point = CrashPoint::derive(seed, jobs.len() as u64);
                 eprintln!("crash point derived: {point}");
-                point.ordinal
+                NonZeroU64::new(point.ordinal).expect("derived crash points are at least 1")
             })
         });
         let opts = JournalOptions {

@@ -37,6 +37,10 @@ fn bad_arguments_exit_2_with_a_message() {
             "repro --max-n 100 --thread 4",
             "unknown argument `--thread`",
         ),
+        (
+            "repro --journal --crash-at 0",
+            "--crash-at must be at least 1",
+        ),
         ("repro --crash-at 3", "--crash-at needs --journal"),
         ("repro --crash-seed 7", "--crash-seed needs --journal"),
         ("repro --resume", "--resume needs --journal"),

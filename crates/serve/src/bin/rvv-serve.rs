@@ -12,6 +12,7 @@
 
 use rvv_serve::{ServeOptions, Server};
 use scanvec::ExecEngine;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -85,7 +86,14 @@ fn main() {
             }
             "--retries" => opts.retries = parse_num("--retries", args.next()),
             "--inject-seed" => opts.inject_seed = Some(parse_num("--inject-seed", args.next())),
-            "--crash-after" => opts.crash_after = Some(parse_num("--crash-after", args.next())),
+            "--crash-after" => {
+                let n: u64 = parse_num("--crash-after", args.next());
+                let Some(n) = NonZeroU64::new(n) else {
+                    eprintln!("rvv-serve: --crash-after must be at least 1");
+                    exit(2)
+                };
+                opts.crash_after = Some(n);
+            }
             "--exec-engine" => {
                 let value = parse_num::<String>("--exec-engine", args.next());
                 opts.exec = match ExecEngine::parse(&value) {

@@ -10,6 +10,7 @@ use rvv_fault::ServeFault;
 use scanvec::{CancelToken, Engine, EnvConfig, ExecEngine};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
+use std::num::NonZeroU64;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -48,7 +49,7 @@ pub struct ServeOptions {
     /// Crash harness: `std::process::abort()` once this many *done*
     /// records have been journaled — a deterministic stand-in for
     /// `kill -9` mid-drain that the recovery tests drive.
-    pub crash_after: Option<u64>,
+    pub crash_after: Option<NonZeroU64>,
     /// Execution tier sessions run on.
     pub exec: ExecEngine,
     /// Consecutive poisoned (panicked) jobs on one configuration before
@@ -612,7 +613,8 @@ impl ServeState {
         if let Some(journal) = &self.journal {
             let mut journal = self.lock(journal);
             let done = self.counters.done_records.load(Ordering::SeqCst);
-            let cut = match self.opts.crash_after {
+            let crash_after = self.opts.crash_after.map(NonZeroU64::get);
+            let cut = match crash_after {
                 Some(n) if n > done => {
                     usize::try_from(n - done).map_or(batch.len(), |k| k.min(batch.len()))
                 }
@@ -634,7 +636,7 @@ impl ServeState {
                         .fetch_add(cut as u64, Ordering::SeqCst)
                         + cut as u64;
                     self.counters.done_commits.fetch_add(1, Ordering::Relaxed);
-                    if self.opts.crash_after == Some(done) {
+                    if crash_after == Some(done) {
                         // The crash harness: die as unceremoniously as
                         // `kill -9` (no unwinding, no drop glue, no drain)
                         // the instant the configured done record is durable.
