@@ -8,6 +8,7 @@
 //! `journaled` suite; what only a separate process can prove is that the
 //! on-disk journal a *dead* process leaves behind is resumable.
 
+use rvv_ckpt::parse_journal;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -52,6 +53,20 @@ fn repro(dir: &Path, extra: &[&str]) -> std::process::ExitStatus {
 
 fn sweep_json(dir: &Path) -> Vec<u8> {
     fs::read(dir.join("results/parallel_sweep.json")).expect("parallel_sweep.json")
+}
+
+/// The `jobs` count of a `parallel_sweep.json`.
+fn sweep_jobs(json: &[u8]) -> usize {
+    let text = std::str::from_utf8(json).unwrap();
+    let (_, rest) = text.split_once("\"jobs\": ").expect("a jobs field");
+    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+/// Data records in the journal at `path` (0 while it has no header).
+fn journal_records(path: &Path) -> usize {
+    let bytes = fs::read(path).unwrap_or_default();
+    parse_journal(&bytes, "repro.journal").map_or(0, |j| j.records.len())
 }
 
 #[test]
@@ -102,12 +117,16 @@ fn sigkill_mid_sweep_resumes_to_the_uninterrupted_outputs() {
     let dir = tmpdir("sigkill");
     assert!(repro(&dir, &["--threads", "4"]).success());
     let golden = sweep_json(&dir);
+    let jobs = sweep_jobs(&golden);
     fs::remove_dir_all(dir.join("results")).unwrap();
 
     // Race a real kill against the sweep: spawn, wait until the journal
-    // holds at least one data record, then SIGKILL (`Child::kill` on
-    // unix). The child may win the race and exit cleanly — that's fine,
-    // resume over a complete journal is also a supported path.
+    // holds at least one done record (the whole sweep is submitted up
+    // front, one record per job, so any record past `jobs` is a done
+    // record), then SIGKILL (`Child::kill` on unix). The resume then
+    // replays at least one point. The child may win the race and exit
+    // cleanly — that's fine, resume over a complete journal is also a
+    // supported path, and it replays every point.
     let mut child = Command::new(REPRO)
         .current_dir(&dir)
         .args(["--max-n", "1000", "--journal", "--threads", "4"])
@@ -121,15 +140,11 @@ fn sigkill_mid_sweep_resumes_to_the_uninterrupted_outputs() {
         if child.try_wait().expect("try_wait").is_some() {
             break; // child finished before the kill landed
         }
-        // Any growth past the header record means data records exist.
-        let big_enough = fs::metadata(&journal)
-            .map(|m| m.len() > 256)
-            .unwrap_or(false);
-        if big_enough {
+        if journal_records(&journal) > jobs {
             child.kill().expect("SIGKILL");
             break;
         }
-        assert!(Instant::now() < deadline, "journal never appeared");
+        assert!(Instant::now() < deadline, "no done record was journaled");
         std::thread::sleep(Duration::from_millis(2));
     }
     child.wait().expect("reap child");
