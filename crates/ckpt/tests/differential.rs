@@ -56,13 +56,14 @@ fn assert_same_parse(bytes: &[u8]) {
     }
 }
 
-/// The queue fold's result on `bytes` equals the reference's, field by
-/// field, or both fail with the same error. Returns the agreed result.
-fn same_fold(bytes: &[u8]) -> io::Result<QueueRecovery> {
+/// The queue fold's result on `bytes` under `tag` equals the
+/// reference's, field by field, or both fail with the same error. Returns
+/// the agreed result.
+fn same_fold(bytes: &[u8], tag: &str) -> io::Result<QueueRecovery> {
     let (chaos, backend) = memory();
     chaos.install(Path::new(PATH), bytes);
-    let new = QueueJournal::resume_on(&backend, Path::new(PATH), TAG, 1).map(|(_, rec)| rec);
-    let old = reference::resume_fold(bytes, Path::new(PATH), TAG);
+    let new = QueueJournal::resume_on(&backend, Path::new(PATH), tag, 1).map(|(_, rec)| rec);
+    let old = reference::resume_fold(bytes, Path::new(PATH), tag);
     match (&new, &old) {
         (Ok(new), Ok(old)) => {
             assert_eq!(new.pending, old.pending, "pending");
@@ -237,7 +238,7 @@ proptest! {
             apply(&mut bytes, &spans, d);
         }
         assert_same_parse(&bytes);
-        let _ = same_fold(&bytes);
+        let _ = same_fold(&bytes, TAG);
     }
 }
 
@@ -261,14 +262,14 @@ fn every_byte_flip_of_a_twelve_record_journal_matches_the_reference() {
     ];
     let clean = queue_bytes(&ops);
     assert_eq!(frame_spans(&clean).len(), 13, "header + 12 records");
-    let rec = same_fold(&clean).unwrap();
+    let rec = same_fold(&clean, TAG).unwrap();
     assert_eq!(rec.max_id, 7);
     for offset in 0..clean.len() {
         for mask in [0x01u8, 0x80] {
             let mut bytes = clean.clone();
             bytes[offset] ^= mask;
             assert_same_parse(&bytes);
-            let _ = same_fold(&bytes);
+            let _ = same_fold(&bytes, TAG);
         }
     }
 }
@@ -283,20 +284,8 @@ fn the_committed_fixtures_resume_as_the_reference_does() {
     ] {
         let bytes = std::fs::read(dir.join(name)).unwrap();
         assert_same_parse(&bytes);
-        let (chaos, backend) = memory();
-        chaos.install(Path::new(PATH), &bytes);
-        let new = QueueJournal::resume_on(&backend, Path::new(PATH), "rvv-fixture", 1);
-        let old = reference::resume_fold(&bytes, Path::new(PATH), "rvv-fixture");
-        match (new, old) {
-            (Ok((_, new)), Ok(old)) => {
-                assert_eq!(new.pending, old.pending, "{name}");
-                assert_eq!(new.completed, old.completed, "{name}");
-                assert_eq!(new.max_id, old.max_id, "{name}");
-                assert_eq!(new.salvage, old.salvage, "{name}");
-            }
-            (Err(new), Err(old)) => assert_eq!(new.to_string(), old.to_string(), "{name}"),
-            (new, old) => panic!("{name}: fold {:?}, reference {old:?}", new.map(|r| r.1)),
-        }
+        let folded = same_fold(&bytes, "rvv-fixture");
+        assert_eq!(folded.is_ok(), name != "no-header.queuejournal", "{name}");
     }
 }
 
@@ -307,7 +296,7 @@ fn a_duplicate_done_keeps_the_first_result() {
         Op::Done(1, b"first".to_vec()),
         Op::Done(1, b"second".to_vec()),
     ]);
-    let rec = same_fold(&bytes).unwrap();
+    let rec = same_fold(&bytes, TAG).unwrap();
     assert_eq!(rec.completed.len(), 1);
     assert_eq!(rec.completed[0].payload, b"first");
 }
@@ -318,7 +307,7 @@ fn a_done_before_its_submit_is_refused_in_a_clean_journal() {
         Op::Done(1, b"early".to_vec()),
         Op::Submit(1, b"job".to_vec()),
     ]);
-    let err = same_fold(&bytes).unwrap_err();
+    let err = same_fold(&bytes, TAG).unwrap_err();
     assert!(err.to_string().contains("without a submit"), "{err}");
 }
 
@@ -336,7 +325,7 @@ fn an_orphan_done_beside_salvage_is_recovered() {
     let mut bytes = queue_bytes(&ops);
     let (start, _) = frame_spans(&bytes)[2];
     bytes[start + 14] ^= 0x08;
-    let rec = same_fold(&bytes).unwrap();
+    let rec = same_fold(&bytes, TAG).unwrap();
     assert_eq!(rec.salvage.len(), 1);
     let pending: Vec<u64> = rec.pending.iter().map(|i| i.id).collect();
     assert_eq!(pending, [1, 3]);
