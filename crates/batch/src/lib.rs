@@ -87,13 +87,11 @@
 mod backoff;
 mod job;
 pub mod journal;
-mod queue;
 mod runner;
 
 pub use backoff::BackoffPolicy;
 pub use job::{BatchJob, BatchResult, DegradedSummary, FailedJob, JobOutcome, JobReport};
 pub use journal::{run_journaled, JournalOptions, JournalPayload};
-pub use queue::AdmissionGate;
 pub use runner::{execute_job, BatchRunner, SessionPool};
 
 // Re-exported so bins depending on `rvv-batch` can name the shared pieces

@@ -21,7 +21,11 @@
 //!   tables, and the run exits 2. Without injection a failed job is a bug:
 //!   its summary goes to stderr and the run exits 1.
 //! * Crashes. `--journal` runs the batch under the write-ahead journal
-//!   `results/repro.journal`. `--resume` replays it and runs the rest;
+//!   `results/repro.journal`, or `results/repro-inject-<S>.journal` under
+//!   `--inject-seed <S>`: the journal's tag binds the job list but not the
+//!   armed faults, so each seed resumes only its own journal, and a
+//!   resume under a seed that has none exits 1. `--resume` replays it and
+//!   runs the rest;
 //!   `--crash-at <N>` aborts the process after N journaled points, and
 //!   `--crash-seed <S>` derives N from S. The serial reference does not run
 //!   under `--journal`, so a resume never runs a journaled point again.
@@ -58,8 +62,6 @@ const VALUED: [&str; 6] = [
 const BARE: [&str; 2] = ["--journal", "--resume"];
 /// The flags only `--journal` reads.
 const JOURNAL_ONLY: [&str; 3] = ["--resume", "--crash-at", "--crash-seed"];
-
-const JOURNAL: &str = "results/repro.journal";
 
 /// Instruction watchdog for injected runs: far above the largest point
 /// (~2.4×10⁸ retired, Table 1 at n=10⁶), far below `DEFAULT_FUEL` — a
@@ -149,7 +151,11 @@ fn main() {
             resume: flag_arg("--resume"),
             crash_after,
         };
-        run_journaled(&runner, jobs, Path::new(JOURNAL), &opts).unwrap_or_else(|e| {
+        let path = match inject_seed {
+            Some(seed) => format!("results/repro-inject-{seed:#x}.journal"),
+            None => "results/repro.journal".to_string(),
+        };
+        run_journaled(&runner, jobs, Path::new(&path), &opts).unwrap_or_else(|e| {
             eprintln!("ERROR: journaled run failed: {e}");
             exit(1)
         })

@@ -192,3 +192,32 @@ fn resume_refuses_a_journal_of_another_job_list() {
     assert_eq!(sweep_json(&dir), golden);
     fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn an_injected_journal_resumes_only_under_its_own_seed() {
+    let dir = tmpdir("inject-seed");
+    let injected = |seed: &str, extra: &[&str]| {
+        let args = [
+            &["--max-n", "1000", "--journal", "--inject-seed", seed][..],
+            extra,
+        ]
+        .concat();
+        run(&dir, &args)
+    };
+    let manifest = || fs::read(dir.join("results/failure_manifest.txt")).expect("a manifest");
+    // Exit 2: degraded but deterministic.
+    assert_eq!(injected("0xfa17", &[]).0, Some(2));
+    let golden = manifest();
+    fs::remove_dir_all(dir.join("results")).unwrap();
+
+    // The queue tag binds the job list, not the faults armed on it, so
+    // each seed journals to a file of its own: another seed finds no
+    // journal to resume.
+    assert_eq!(injected("0xfa17", &["--crash-at", "20"]).0, None, "SIGABRT");
+    let (code, stderr) = injected("0x1234", &["--resume"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(!dir.join("results/failure_manifest.txt").exists());
+    assert_eq!(injected("0xfa17", &["--resume"]).0, Some(2));
+    assert_eq!(manifest(), golden);
+    fs::remove_dir_all(&dir).unwrap();
+}

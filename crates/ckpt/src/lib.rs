@@ -1,8 +1,7 @@
 //! Checkpoint record formats for the scan-vector workspace.
 //!
-//! Everything here is dependency-free and hand-rolled, in the same spirit
-//! as `FaultPlan`'s Display/FromStr round-trip: a little-endian byte codec
-//! ([`ByteWriter`]/[`ByteReader`]), a versioned digest-stamped frame
+//! Everything here is dependency-free and hand-rolled: a little-endian
+//! byte codec ([`ByteWriter`]/[`ByteReader`]), a versioned digest-stamped frame
 //! ([`seal`]/[`open`]) used by machine and environment snapshots, a
 //! length-prefixed FNV-checksummed write-ahead journal
 //! ([`JournalWriter`]/[`parse_journal`]) whose reader tolerates a torn

@@ -280,6 +280,14 @@ impl ChaosBackend {
         st.inode(path).map(|i| i.data.clone())
     }
 
+    /// The durable bytes of `path`: what a crash without a torn tail
+    /// would leave of it (test observability).
+    pub fn durable(&self, path: &Path) -> Option<Vec<u8>> {
+        let st = self.lock();
+        let inode = st.inodes.get(st.durable.get(path)?)?;
+        Some(inode.data[..inode.flushed].to_vec())
+    }
+
     /// Install a file as fully durable content (fixture setup).
     pub fn install(&self, path: &Path, bytes: &[u8]) {
         let mut st = self.lock();

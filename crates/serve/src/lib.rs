@@ -35,6 +35,14 @@
 //! * **Graceful shutdown** — SIGTERM (or `POST /shutdown`) stops
 //!   admissions, drains in-flight work to the journal, and exits 0.
 //!
+//! All bookkeeping (run and commit queues, job and sweep maps, breakers,
+//! deadlines, admission accounting, flags) sits in one book behind one
+//! lock; the journal has the other, and the two are never held together.
+//! Each transition — submit, dequeue, finish, commit, a status read — is
+//! a step of short sections over the book, and a seeded explorer drives
+//! the steps in PRNG-chosen orders, with crashes between them, checking
+//! the service's invariants after every step.
+//!
 //! # Endpoints
 //!
 //! | Method & path          | Meaning                                          |

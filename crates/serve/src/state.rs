@@ -1,9 +1,10 @@
 //! Shared service state: the durable queue, admission control, breakers,
 //! deadline registry, and the job/sweep tables every connection handler
-//! and worker thread reads through one `Arc`.
+//! and worker thread reads through one `Arc`. All of it but the journal
+//! sits in one book behind one lock, and each transition of a job (submit,
+//! dequeue, finish, commit, a status read) is a short section over it.
 
 use crate::spec::JobSpec;
-use rvv_batch::AdmissionGate;
 use rvv_ckpt::queue::{QueueJournal, QueueRecovery};
 use rvv_ckpt::{fnv1a, fs_backend, write_atomic_on, StorageBackend};
 use rvv_fault::ServeFault;
@@ -12,8 +13,8 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io;
 use std::num::NonZeroU64;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -141,8 +142,8 @@ pub struct ServeCounters {
     pub cancelled: AtomicU64,
     /// Jobs refused by an open circuit breaker.
     pub quarantined: AtomicU64,
-    /// Submissions shed by injected chaos (a subset of the gate's total
-    /// shed count, which also counts genuine overload).
+    /// Submissions shed by injected chaos (`/stats` `shed` counts only
+    /// the groups refused for want of room).
     pub injected_shed: AtomicU64,
     /// Retry attempts consumed across all jobs.
     pub retries: AtomicU64,
@@ -181,31 +182,87 @@ struct CommitQueue {
     stop: bool,
 }
 
+/// Every piece of the service's bookkeeping, behind the one book lock.
+/// Each transition of a job is one critical section over it.
+#[derive(Debug, Default)]
+struct Book {
+    queue: VecDeque<QueuedJob>,
+    commits: CommitQueue,
+    jobs: BTreeMap<u64, JobStatus>,
+    sweeps: BTreeMap<u64, Vec<u64>>,
+    breakers: HashMap<EnvConfig, Breaker>,
+    deadlines: Vec<(Instant, u64, CancelToken)>,
+    /// Admission: at most `capacity` jobs admitted and not yet committed.
+    capacity: usize,
+    depth: usize,
+    admitted: u64,
+    /// Admission groups refused because they would exceed `capacity`.
+    shed: u64,
+    high_water: usize,
+    next_job_id: u64,
+    next_sweep_id: u64,
+    /// Submissions seen (the chaos shed's ordinal).
+    submissions: u64,
+    draining: bool,
+    storage_degraded: bool,
+}
+
+impl Book {
+    /// Admit `n` jobs all or nothing: a sweep is never half-accepted. A
+    /// refused group counts as shed.
+    fn admit(&mut self, n: usize) -> bool {
+        if self.depth + n > self.capacity {
+            self.shed += 1;
+            return false;
+        }
+        self.depth += n;
+        self.admitted += n as u64;
+        self.high_water = self.high_water.max(self.depth);
+        true
+    }
+
+    /// Pop the next job and mark it running.
+    fn dequeue(&mut self) -> Option<QueuedJob> {
+        let job = self.queue.pop_front()?;
+        self.jobs.insert(job.id, JobStatus::Running);
+        Some(job)
+    }
+
+    fn note_breaker(&mut self, cfg: &EnvConfig, poisoned: bool, threshold: u32) {
+        let b = self.breakers.entry(*cfg).or_default();
+        if poisoned {
+            b.consecutive_poisoned += 1;
+            if b.consecutive_poisoned >= threshold {
+                b.open = true;
+            }
+        } else {
+            b.consecutive_poisoned = 0;
+        }
+    }
+}
+
 /// The shared state behind one service instance.
+///
+/// Two locks: the book and the journal. They are never held together,
+/// and the book is never held across I/O, simulation, or the
+/// acknowledgment; the journal lock is the only one held across a write
+/// and fsync.
 pub struct ServeState {
     /// The engine every worker session comes from.
     pub engine: Arc<Engine>,
     /// Startup configuration.
     pub opts: ServeOptions,
-    /// Admission control (bounded queue depth, shed counters).
-    pub gate: AdmissionGate,
     /// Service counters.
     pub counters: ServeCounters,
-    queue: Mutex<VecDeque<QueuedJob>>,
+    book: Mutex<Book>,
+    /// Signalled on the book when jobs enter the run queue or a drain
+    /// begins.
     available: Condvar,
-    journal: Option<Mutex<QueueJournal>>,
-    commits: Mutex<CommitQueue>,
+    /// Signalled on the book when a done record is queued or the
+    /// committer is told to stop.
     commit_ready: Condvar,
-    jobs: Mutex<BTreeMap<u64, JobStatus>>,
-    sweeps: Mutex<BTreeMap<u64, Vec<u64>>>,
-    breakers: Mutex<HashMap<EnvConfig, Breaker>>,
-    deadlines: Mutex<Vec<(Instant, u64, CancelToken)>>,
-    next_job_id: AtomicU64,
-    next_sweep_id: AtomicU64,
-    submissions: AtomicU64,
-    draining: AtomicBool,
+    journal: Option<Mutex<QueueJournal>>,
     storage: Arc<dyn StorageBackend>,
-    storage_degraded: AtomicBool,
 }
 
 fn encode_payload(sweep: u64, text: &str) -> Vec<u8> {
@@ -259,46 +316,47 @@ impl ServeState {
         }
         let state = ServeState {
             engine,
-            gate: AdmissionGate::new(opts.queue_depth),
             counters: ServeCounters::default(),
+            book: Mutex::new(Book {
+                capacity: opts.queue_depth.max(1),
+                next_job_id: 1,
+                next_sweep_id: 1,
+                ..Book::default()
+            }),
             opts,
-            queue: Mutex::new(VecDeque::new()),
             available: Condvar::new(),
-            journal,
-            commits: Mutex::new(CommitQueue::default()),
             commit_ready: Condvar::new(),
-            jobs: Mutex::new(BTreeMap::new()),
-            sweeps: Mutex::new(BTreeMap::new()),
-            breakers: Mutex::new(HashMap::new()),
-            deadlines: Mutex::new(Vec::new()),
-            next_job_id: AtomicU64::new(1),
-            next_sweep_id: AtomicU64::new(1),
-            submissions: AtomicU64::new(0),
-            draining: AtomicBool::new(false),
+            journal,
             storage,
-            storage_degraded: AtomicBool::new(false),
         };
         state.restore(recovery)?;
         Ok(Arc::new(state))
     }
 
-    /// Lock one of the state's mutexes, recovering from poison instead of
-    /// propagating it: one panicking handler thread must not brick every
-    /// subsequent request. The tables a panicked holder may have left
-    /// half-updated describe *job bookkeeping*, not results — recovered
-    /// state is at worst missing one status transition, which the
-    /// counters surface via `lock_poisoned` in `/stats`.
+    /// Lock one of the state's two mutexes, recovering from poison
+    /// instead of propagating it: one panicking handler thread must not
+    /// brick every subsequent request. The book a panicked holder may
+    /// have left half-updated describes *job bookkeeping*, not results —
+    /// recovered state is at worst missing one status transition, which
+    /// the counters surface via `lock_poisoned` in `/stats`.
     fn lock<'a, T>(&self, m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-        m.lock().unwrap_or_else(|poisoned| {
-            self.counters.lock_poisoned.fetch_add(1, Ordering::Relaxed);
-            poisoned.into_inner()
-        })
+        m.lock().unwrap_or_else(|poisoned| self.recovered(poisoned))
+    }
+
+    fn recovered<G>(&self, poisoned: PoisonError<G>) -> G {
+        self.counters.lock_poisoned.fetch_add(1, Ordering::Relaxed);
+        poisoned.into_inner()
+    }
+
+    fn book(&self) -> MutexGuard<'_, Book> {
+        self.lock(&self.book)
     }
 
     /// Fold a journal replay back into live state, consuming it: completed
     /// jobs keep their recorded lines verbatim, each in the allocation the
     /// replay made (this is what makes post-crash digests byte-identical),
-    /// and pending jobs re-enter the queue.
+    /// and pending jobs re-enter the queue. The book is filled in one
+    /// section, before any thread exists.
     /// Quarantined (salvaged) ranges are surfaced — counted in `/stats`,
     /// logged, and written to a `<journal>.salvage.txt` manifest — and
     /// their lost work is already accounted for by the queue replay: a
@@ -334,25 +392,24 @@ impl ServeState {
         if recovery.max_id == 0 {
             return Ok(());
         }
-        let mut jobs = self.lock(&self.jobs);
-        let mut sweeps = self.lock(&self.sweeps);
-        let mut queue = self.lock(&self.queue);
+        let mut book = self.book();
+        let book = &mut *book;
         let mut max_sweep = 0u64;
         for item in recovery.completed {
             let (sid, line) = decode_payload(item.payload)?;
-            jobs.insert(item.id, JobStatus::Done(line));
-            sweeps.entry(sid).or_default().push(item.id);
+            book.jobs.insert(item.id, JobStatus::Done(line));
+            book.sweeps.entry(sid).or_default().push(item.id);
             max_sweep = max_sweep.max(sid);
             self.counters.submitted.fetch_add(1, Ordering::Relaxed);
             self.counters.completed.fetch_add(1, Ordering::Relaxed);
         }
         let pending = recovery.pending.len();
-        if pending > 0 && !self.gate.try_admit(pending) {
+        if pending > 0 && !book.admit(pending) {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 format!(
                     "journal has {pending} pending jobs but --queue-depth is {}; restart with a deeper queue",
-                    self.gate.capacity()
+                    book.capacity
                 ),
             ));
         }
@@ -364,11 +421,11 @@ impl ServeState {
                     format!("journaled spec `{text}`: {e}"),
                 )
             })?;
-            jobs.insert(item.id, JobStatus::Queued);
-            sweeps.entry(sid).or_default().push(item.id);
+            book.jobs.insert(item.id, JobStatus::Queued);
+            book.sweeps.entry(sid).or_default().push(item.id);
             max_sweep = max_sweep.max(sid);
             self.counters.submitted.fetch_add(1, Ordering::Relaxed);
-            queue.push_back(QueuedJob {
+            book.queue.push_back(QueuedJob {
                 id: item.id,
                 sweep: sid,
                 spec,
@@ -377,13 +434,11 @@ impl ServeState {
         // Job ids inside a sweep are assigned in submit order; the maps
         // above were folded from (completed, pending) partitions, so
         // re-sort for stable digest ordering.
-        for ids in sweeps.values_mut() {
+        for ids in book.sweeps.values_mut() {
             ids.sort_unstable();
         }
-        self.next_job_id
-            .store(recovery.max_id + 1, Ordering::SeqCst);
-        self.next_sweep_id.store(max_sweep + 1, Ordering::SeqCst);
-        self.available.notify_all();
+        book.next_job_id = recovery.max_id + 1;
+        book.next_sweep_id = max_sweep + 1;
         Ok(())
     }
 
@@ -407,10 +462,57 @@ impl ServeState {
         if specs.is_empty() {
             return Err(SubmitError::Invalid("empty submission".to_string()));
         }
-        if self.draining.load(Ordering::SeqCst) {
+        let (sweep, ids) = self.admit(specs)?;
+        // Journal-before-acknowledge: all submit records are on disk
+        // before the client hears "accepted" — one write and one fsync for
+        // the whole sweep. A failed append un-admits the whole sweep and
+        // trips the storage breaker.
+        if let Some(journal) = &self.journal {
+            let payloads: Vec<Vec<u8>> = specs
+                .iter()
+                .map(|spec| encode_payload(sweep, &spec.to_string()))
+                .collect();
+            let appended = self
+                .lock(journal)
+                .submit_all(ids.iter().copied().zip(payloads.iter().map(Vec::as_slice)));
+            if let Err(e) = appended {
+                self.trip_storage(&e, specs.len());
+                return Err(SubmitError::Storage(e.to_string()));
+            }
+        }
+        {
+            let mut book = self.book();
+            for id in &ids {
+                book.jobs.insert(*id, JobStatus::Queued);
+            }
+            book.sweeps.insert(sweep, ids.clone());
+        }
+        ack(sweep, &ids);
+        {
+            let mut book = self.book();
+            for (id, spec) in ids.iter().zip(specs) {
+                book.queue.push_back(QueuedJob {
+                    id: *id,
+                    sweep,
+                    spec: *spec,
+                });
+            }
+            self.counters
+                .submitted
+                .fetch_add(specs.len() as u64, Ordering::Relaxed);
+        }
+        self.available.notify_all();
+        Ok((sweep, ids))
+    }
+
+    /// The submit's first section: refuse while draining or degraded,
+    /// validate, run the chaos shed, admit the sweep and assign its ids.
+    fn admit(&self, specs: &[JobSpec]) -> Result<(u64, Vec<u64>), SubmitError> {
+        let mut book = self.book();
+        if book.draining {
             return Err(SubmitError::Draining);
         }
-        if self.storage_degraded.load(Ordering::SeqCst) {
+        if book.storage_degraded {
             // The storage breaker is open: new work cannot be made
             // durable, so it is shed *before* admission — no slot, no
             // journal attempt, no false acknowledgment.
@@ -425,102 +527,65 @@ impl ServeState {
         }
         // Injected chaos sheds whole submissions by ordinal — the
         // deterministic stand-in for overload (see `ServeFault`).
-        let ordinal = self.submissions.fetch_add(1, Ordering::SeqCst);
+        let ordinal = book.submissions;
+        book.submissions += 1;
         if let Some(seed) = self.opts.inject_seed {
             if ServeFault::derive(seed, ordinal).shed {
                 self.counters.injected_shed.fetch_add(1, Ordering::Relaxed);
                 return Err(SubmitError::Overloaded);
             }
         }
-        if !self.gate.try_admit(specs.len()) {
+        if !book.admit(specs.len()) {
             return Err(SubmitError::Overloaded);
         }
-        let sweep = self.next_sweep_id.fetch_add(1, Ordering::SeqCst);
-        let first = self
-            .next_job_id
-            .fetch_add(specs.len() as u64, Ordering::SeqCst);
-        let ids: Vec<u64> = (first..first + specs.len() as u64).collect();
-        // Journal-before-acknowledge: all submit records are on disk
-        // before the client hears "accepted" — one write and one fsync for
-        // the whole sweep. A failed append un-admits the whole sweep and
-        // trips the storage breaker.
-        if let Some(journal) = &self.journal {
-            let payloads: Vec<Vec<u8>> = specs
-                .iter()
-                .map(|spec| encode_payload(sweep, &spec.to_string()))
-                .collect();
-            let appended = self
-                .lock(journal)
-                .submit_all(ids.iter().copied().zip(payloads.iter().map(Vec::as_slice)));
-            if let Err(e) = appended {
-                self.gate.release(specs.len());
-                self.trip_storage(&e);
-                return Err(SubmitError::Storage(e.to_string()));
-            }
-        }
-        {
-            let mut jobs = self.lock(&self.jobs);
-            for id in &ids {
-                jobs.insert(*id, JobStatus::Queued);
-            }
-        }
-        self.lock(&self.sweeps).insert(sweep, ids.clone());
-        ack(sweep, &ids);
-        {
-            let mut queue = self.lock(&self.queue);
-            for (id, spec) in ids.iter().zip(specs) {
-                queue.push_back(QueuedJob {
-                    id: *id,
-                    sweep,
-                    spec: *spec,
-                });
-            }
-        }
-        self.counters
-            .submitted
-            .fetch_add(specs.len() as u64, Ordering::Relaxed);
-        self.available.notify_all();
-        Ok((sweep, ids))
+        let sweep = book.next_sweep_id;
+        book.next_sweep_id += 1;
+        let first = book.next_job_id;
+        book.next_job_id += specs.len() as u64;
+        Ok((sweep, (first..book.next_job_id).collect()))
+    }
+
+    /// Pop the next queued job and mark it running, if there is one.
+    pub(crate) fn try_next_job(&self) -> Option<QueuedJob> {
+        self.book().dequeue()
     }
 
     /// Block until a job is available or the service is draining with an
     /// empty queue (then `None`: the worker exits).
     pub fn next_job(&self) -> Option<QueuedJob> {
-        let mut queue = self.lock(&self.queue);
         loop {
-            if let Some(job) = queue.pop_front() {
-                self.lock(&self.jobs).insert(job.id, JobStatus::Running);
+            if let Some(job) = self.try_next_job() {
                 return Some(job);
             }
-            if self.draining.load(Ordering::SeqCst) {
-                return None;
-            }
-            queue = match self
-                .available
-                .wait_timeout(queue, Duration::from_millis(50))
-            {
-                Ok((q, _)) => q,
-                Err(poisoned) => {
-                    self.counters.lock_poisoned.fetch_add(1, Ordering::Relaxed);
-                    poisoned.into_inner().0
+            let book = self.book();
+            if book.queue.is_empty() {
+                if book.draining {
+                    return None;
                 }
-            };
+                let waited = self.available.wait_timeout(book, Duration::from_millis(50));
+                drop(waited.unwrap_or_else(|poisoned| self.recovered(poisoned)));
+            }
         }
     }
 
-    /// Open the storage circuit breaker: note the failure, flip
-    /// `/healthz` to degraded, and start shedding new submissions while
-    /// in-flight jobs drain.
-    fn trip_storage(&self, err: &io::Error) {
+    /// Open the storage circuit breaker: note the failure, return
+    /// `release` admission slots, flip `/healthz` to degraded, and start
+    /// shedding new submissions while in-flight jobs drain.
+    fn trip_storage(&self, err: &io::Error, release: usize) {
         self.counters.journal_errors.fetch_add(1, Ordering::Relaxed);
-        if !self.storage_degraded.swap(true, Ordering::SeqCst) {
+        let tripped = {
+            let mut book = self.book();
+            book.depth -= release;
+            !std::mem::replace(&mut book.storage_degraded, true)
+        };
+        if tripped {
             eprintln!("serve: storage degraded (journal append failed): {err}");
         }
     }
 
     /// Is the storage breaker open?
     pub fn storage_is_degraded(&self) -> bool {
-        self.storage_degraded.load(Ordering::SeqCst)
+        self.book().storage_degraded
     }
 
     /// The per-job chaos decisions (latency, machine faults), or quiet.
@@ -536,7 +601,8 @@ impl ServeState {
     pub fn arm_deadline(&self, job_id: u64) -> Option<CancelToken> {
         let deadline = self.opts.deadline?;
         let token = CancelToken::new();
-        self.lock(&self.deadlines)
+        self.book()
+            .deadlines
             .push((Instant::now() + deadline, job_id, token.clone()));
         Some(token)
     }
@@ -545,9 +611,8 @@ impl ServeState {
     /// passed. Cancellation is cooperative — the worker observes the token
     /// at the next instruction boundary and reports `Cancelled`.
     pub fn cancel_overdue(&self, now: Instant) -> usize {
-        let mut deadlines = self.lock(&self.deadlines);
         let mut fired = 0;
-        deadlines.retain(|(at, _, token)| {
+        self.book().deadlines.retain(|(at, _, token)| {
             if *at <= now {
                 token.cancel();
                 fired += 1;
@@ -559,17 +624,12 @@ impl ServeState {
         fired
     }
 
-    fn disarm_deadline(&self, job_id: u64) {
-        self.lock(&self.deadlines)
-            .retain(|(_, id, _)| *id != job_id);
-    }
-
-    /// Record a finished job. What the worker's next job reads is settled
-    /// before this returns: the job's deadline is disarmed and its
-    /// configuration's breaker has seen the outcome. The done record goes
-    /// to the commit stage: queued for the committer thread while a
-    /// server runs one, committed here, durably, otherwise. Either way
-    /// the job flips to done only once its record is durable.
+    /// Record a finished job. In one section the job's deadline is
+    /// disarmed, its configuration's breaker sees the outcome, and the
+    /// done record goes to the commit stage: queued for the committer
+    /// thread while a server runs one. Otherwise it is committed here,
+    /// durably. Either way the job flips to done only once its record is
+    /// durable.
     pub fn finish(
         &self,
         job: &QueuedJob,
@@ -578,8 +638,6 @@ impl ServeState {
         poisoned: bool,
         cancelled: bool,
     ) {
-        self.disarm_deadline(job.id);
-        self.note_breaker(&job.spec.config(), poisoned);
         let done = Completion {
             id: job.id,
             sweep: job.sweep,
@@ -587,22 +645,29 @@ impl ServeState {
             attempts,
             cancelled,
         };
-        {
-            let mut commits = self.lock(&self.commits);
-            if commits.running {
-                commits.pending.push(done);
-                self.commit_ready.notify_one();
-                return;
+        let cfg = job.spec.config();
+        let inline = {
+            let mut book = self.book();
+            book.deadlines.retain(|(_, id, _)| *id != job.id);
+            book.note_breaker(&cfg, poisoned, self.opts.breaker_threshold);
+            if book.commits.running {
+                book.commits.pending.push(done);
+                None
+            } else {
+                Some(done)
             }
+        };
+        match inline {
+            Some(done) => self.commit(vec![done]),
+            None => self.commit_ready.notify_one(),
         }
-        self.commit(vec![done]);
     }
 
     /// The commit stage: journal `batch`'s done records with one write and
-    /// one fsync, and only then flip the jobs to `Done`, count them and
-    /// release their admission slots. When the crash harness is armed,
-    /// the batch is cut at the configured done record and the process
-    /// aborts the instant that record is durable.
+    /// one fsync, and only then, in one book section, count the jobs,
+    /// flip them to `Done` and release their admission slots. When the
+    /// crash harness is armed, the batch is cut at the configured done
+    /// record and the process aborts the instant that record is durable.
     ///
     /// Infallible by design: a failed append trips the storage breaker
     /// (new submissions shed with 503) but every completion in the batch
@@ -610,6 +675,7 @@ impl ServeState {
     /// of wedging. An un-journaled completion is the safe loss: after a
     /// crash the job replays as pending and re-runs deterministically.
     fn commit(&self, batch: Vec<Completion>) {
+        let mut failed = None;
         if let Some(journal) = &self.journal {
             let mut journal = self.lock(journal);
             let done = self.counters.done_records.load(Ordering::SeqCst);
@@ -643,21 +709,25 @@ impl ServeState {
                         std::process::abort();
                     }
                 }
-                Err(e) => self.trip_storage(&e),
+                Err(e) => failed = Some(e),
             }
         } else {
             self.counters
                 .done_records
                 .fetch_add(batch.len() as u64, Ordering::SeqCst);
         }
-        // Counted before the flip, so a client that sees its sweep
-        // complete reads counters that include it.
+        if let Some(e) = failed {
+            self.trip_storage(&e, 0);
+        }
+        // Counted in the section that flips the jobs, so a client that
+        // sees its sweep complete reads counters that include it.
         let count = batch.len();
         let retries = batch
             .iter()
             .map(|c| u64::from(c.attempts.saturating_sub(1)))
             .sum();
         let cancelled = batch.iter().filter(|c| c.cancelled).count();
+        let mut book = self.book();
         self.counters
             .completed
             .fetch_add(count as u64, Ordering::Relaxed);
@@ -665,13 +735,21 @@ impl ServeState {
         self.counters
             .cancelled
             .fetch_add(cancelled as u64, Ordering::Relaxed);
-        {
-            let mut jobs = self.lock(&self.jobs);
-            for c in batch {
-                jobs.insert(c.id, JobStatus::Done(c.line));
-            }
+        for c in batch {
+            book.jobs.insert(c.id, JobStatus::Done(c.line));
         }
-        self.gate.release(count);
+        book.depth -= count;
+    }
+
+    /// Take every done record queued since the last commit and commit
+    /// them together. Returns whether there was anything to commit.
+    pub(crate) fn commit_pending(&self) -> bool {
+        let batch = std::mem::take(&mut self.book().commits.pending);
+        if batch.is_empty() {
+            return false;
+        }
+        self.commit(batch);
+        true
     }
 
     /// Start the commit stage's thread: from now on
@@ -679,61 +757,47 @@ impl ServeState {
     /// [`ServeState::join_committer`].
     pub(crate) fn spawn_committer(self: &Arc<Self>) -> JoinHandle<()> {
         {
-            let mut commits = self.lock(&self.commits);
-            commits.running = true;
-            commits.stop = false;
+            let mut book = self.book();
+            book.commits.running = true;
+            book.commits.stop = false;
         }
         let state = Arc::clone(self);
         thread::spawn(move || state.commit_loop())
     }
 
-    /// The committer: take every done record queued since the last commit
-    /// and commit them together, until told to stop with nothing queued;
-    /// then hand `finish` back its inline commit.
+    /// The committer: commit whatever is queued, until told to stop with
+    /// nothing queued; then, in the same section, hand `finish` back its
+    /// inline commit.
     fn commit_loop(&self) {
         loop {
-            let batch = {
-                let mut commits = self.lock(&self.commits);
-                while commits.pending.is_empty() && !commits.stop {
-                    commits = self.commit_ready.wait(commits).unwrap_or_else(|poisoned| {
-                        self.counters.lock_poisoned.fetch_add(1, Ordering::Relaxed);
-                        poisoned.into_inner()
-                    });
+            {
+                let mut book = self.book();
+                while book.commits.pending.is_empty() && !book.commits.stop {
+                    book = self
+                        .commit_ready
+                        .wait(book)
+                        .unwrap_or_else(|poisoned| self.recovered(poisoned));
                 }
-                if commits.pending.is_empty() {
-                    commits.running = false;
+                if book.commits.pending.is_empty() {
+                    book.commits.running = false;
                     return;
                 }
-                std::mem::take(&mut commits.pending)
-            };
-            self.commit(batch);
+            }
+            self.commit_pending();
         }
     }
 
     /// Stop the committer once it has committed everything queued, and
     /// join it. Later calls to `finish` commit inline again.
     pub(crate) fn join_committer(&self, committer: JoinHandle<()>) {
-        self.lock(&self.commits).stop = true;
+        self.book().commits.stop = true;
         self.commit_ready.notify_all();
         let _ = committer.join();
     }
 
     /// Is the breaker for `cfg` open (jobs on it quarantined)?
     pub fn breaker_open(&self, cfg: &EnvConfig) -> bool {
-        self.lock(&self.breakers).get(cfg).is_some_and(|b| b.open)
-    }
-
-    fn note_breaker(&self, cfg: &EnvConfig, poisoned: bool) {
-        let mut breakers = self.lock(&self.breakers);
-        let b = breakers.entry(*cfg).or_default();
-        if poisoned {
-            b.consecutive_poisoned += 1;
-            if b.consecutive_poisoned >= self.opts.breaker_threshold {
-                b.open = true;
-            }
-        } else {
-            b.consecutive_poisoned = 0;
-        }
+        self.book().breakers.get(cfg).is_some_and(|b| b.open)
     }
 
     /// The quarantine line for a breaker-refused job: stable (pure
@@ -753,31 +817,29 @@ impl ServeState {
     /// journal is still broken, the next append re-trips it. Returns how
     /// many were open (counting storage).
     pub fn reset_breakers(&self) -> usize {
-        let mut breakers = self.lock(&self.breakers);
-        let mut open = breakers.values().filter(|b| b.open).count();
-        breakers.clear();
-        if self.storage_degraded.swap(false, Ordering::SeqCst) {
-            open += 1;
-        }
-        open
+        let mut book = self.book();
+        let open = book.breakers.values().filter(|b| b.open).count();
+        book.breakers.clear();
+        open + usize::from(std::mem::take(&mut book.storage_degraded))
     }
 
     /// Stop accepting work; wake every worker so the drain can finish.
     pub fn begin_drain(&self) {
-        self.draining.store(true, Ordering::SeqCst);
+        self.book().draining = true;
         self.available.notify_all();
     }
 
     /// Is the service draining?
     pub fn is_draining(&self) -> bool {
-        self.draining.load(Ordering::SeqCst)
+        self.book().draining
     }
 
     /// Force the journal to disk (graceful-shutdown path).
     pub fn sync_journal(&self) -> io::Result<()> {
         if let Some(journal) = &self.journal {
-            if let Err(e) = self.lock(journal).sync() {
-                self.trip_storage(&e);
+            let synced = self.lock(journal).sync();
+            if let Err(e) = synced {
+                self.trip_storage(&e, 0);
                 return Err(e);
             }
         }
@@ -786,8 +848,8 @@ impl ServeState {
 
     /// One job's status line, or `None` for an unknown id.
     pub fn job_text(&self, id: u64) -> Option<String> {
-        let jobs = self.lock(&self.jobs);
-        Some(match jobs.get(&id)? {
+        let book = self.book();
+        Some(match book.jobs.get(&id)? {
             JobStatus::Queued => format!("job {id} queued\n"),
             JobStatus::Running => format!("job {id} running\n"),
             JobStatus::Done(line) => format!("job {id} done\n{line}\n"),
@@ -796,39 +858,39 @@ impl ServeState {
 
     /// One sweep's status: progress while running; on completion the
     /// stable lines in job-id order plus their FNV-1a digest — the bytes
-    /// the crash-recovery contract compares.
+    /// the crash-recovery contract compares. The lines are copied in one
+    /// section and formatted and hashed outside it.
     pub fn sweep_text(&self, id: u64) -> Option<String> {
-        let ids = self.lock(&self.sweeps).get(&id)?.clone();
-        let jobs = self.lock(&self.jobs);
-        let mut lines = Vec::with_capacity(ids.len());
-        for job_id in &ids {
-            match jobs.get(job_id) {
-                Some(JobStatus::Done(line)) => lines.push(line.clone()),
-                _ => {
-                    return Some(format!("pending {}/{} jobs done\n", lines.len(), ids.len()));
+        let (jobs, body) = {
+            let book = self.book();
+            let ids = book.sweeps.get(&id)?;
+            let mut lines = Vec::with_capacity(ids.len());
+            for job_id in ids {
+                match book.jobs.get(job_id) {
+                    Some(JobStatus::Done(line)) => lines.push(line.as_str()),
+                    _ => {
+                        return Some(format!("pending {}/{} jobs done\n", lines.len(), ids.len()));
+                    }
                 }
             }
-        }
-        let mut body = String::new();
-        for line in &lines {
-            body.push_str(line);
-            body.push('\n');
-        }
+            let mut body = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
+            for line in lines {
+                body.push_str(line);
+                body.push('\n');
+            }
+            (ids.len(), body)
+        };
         Some(format!(
-            "complete jobs={}\ndigest={:#018x}\n{body}",
-            ids.len(),
+            "complete jobs={jobs}\ndigest={:#018x}\n{body}",
             fnv1a(body.as_bytes())
         ))
     }
 
-    /// The `/stats` body: service counters, queue state, engine health.
+    /// The `/stats` body: service counters, queue state, engine health,
+    /// read in one book section.
     pub fn stats_text(&self) -> String {
-        let breakers_open = self
-            .lock(&self.breakers)
-            .values()
-            .filter(|b| b.open)
-            .count();
         let health = self.engine.health();
+        let book = self.book();
         format!(
             "submitted={}\ncompleted={}\ncancelled={}\nquarantined={}\nretries={}\n\
              queue_depth={}\nqueue_capacity={}\nqueue_high_water={}\n\
@@ -841,17 +903,17 @@ impl ServeState {
             self.counters.cancelled.load(Ordering::Relaxed),
             self.counters.quarantined.load(Ordering::Relaxed),
             self.counters.retries.load(Ordering::Relaxed),
-            self.gate.depth(),
-            self.gate.capacity(),
-            self.gate.high_water(),
-            self.gate.shed(),
+            book.depth,
+            book.capacity,
+            book.high_water,
+            book.shed,
             self.counters.injected_shed.load(Ordering::Relaxed),
-            self.gate.admitted(),
+            book.admitted,
             health.sessions_created(),
             health.sessions_poisoned(),
-            breakers_open,
-            self.is_draining(),
-            self.storage_is_degraded(),
+            book.breakers.values().filter(|b| b.open).count(),
+            book.draining,
+            book.storage_degraded,
             self.counters.journal_errors.load(Ordering::Relaxed),
             self.counters.done_records.load(Ordering::Relaxed),
             self.counters.done_commits.load(Ordering::Relaxed),
@@ -862,8 +924,18 @@ impl ServeState {
 }
 
 #[cfg(test)]
+mod explore;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ServeState {
+        fn note_breaker(&self, cfg: &EnvConfig, poisoned: bool) {
+            let threshold = self.opts.breaker_threshold;
+            self.book().note_breaker(cfg, poisoned, threshold);
+        }
+    }
 
     fn specs(texts: &[&str]) -> Vec<JobSpec> {
         texts.iter().map(|t| t.parse().unwrap()).collect()
@@ -879,7 +951,7 @@ mod tests {
         assert_eq!(ids1, vec![1, 2]);
         assert_eq!(ids2, vec![3]);
         assert_ne!(s1, s2);
-        assert_eq!(state.gate.depth(), 3);
+        assert_eq!(state.book().depth, 3);
         assert!(state.job_text(1).unwrap().contains("queued"));
         assert!(state.job_text(99).is_none());
         assert!(state.sweep_text(s1).unwrap().starts_with("pending 0/2"));
@@ -894,12 +966,12 @@ mod tests {
                 // A client polling right after its 202 finds the sweep…
                 assert_eq!(state.sweep_text(sweep).unwrap(), "pending 0/2 jobs done\n");
                 // …but no worker can have dequeued a job of it yet.
-                assert!(state.lock(&state.queue).is_empty());
+                assert!(state.book().queue.is_empty());
                 acked = Some((sweep, ids.to_vec()));
             })
             .unwrap();
         assert_eq!(acked, Some((sweep, ids)));
-        assert_eq!(state.lock(&state.queue).len(), 2);
+        assert_eq!(state.book().queue.len(), 2);
     }
 
     #[test]
@@ -914,7 +986,7 @@ mod tests {
             state.submit(&specs(&["p_add n=8"])),
             Err(SubmitError::Overloaded)
         ));
-        assert_eq!(state.gate.shed(), 1);
+        assert_eq!(state.book().shed, 1);
         state.begin_drain();
         assert!(matches!(
             state.submit(&specs(&["p_add n=8"])),
@@ -930,7 +1002,7 @@ mod tests {
             ..JobSpec::default()
         };
         assert!(matches!(state.submit(&[bad]), Err(SubmitError::Invalid(_))));
-        assert_eq!(state.gate.depth(), 0, "nothing admitted");
+        assert_eq!(state.book().depth, 0, "nothing admitted");
     }
 
     #[test]
@@ -986,12 +1058,12 @@ mod tests {
         // Poison the jobs mutex: a handler thread panics while holding it.
         let s = Arc::clone(&state);
         std::thread::spawn(move || {
-            let _guard = s.jobs.lock().unwrap();
+            let _guard = s.book.lock().unwrap();
             panic!("injected handler panic");
         })
         .join()
         .unwrap_err();
-        assert!(state.jobs.is_poisoned());
+        assert!(state.book.is_poisoned());
         // Every subsequent request still works, and the recovery is
         // surfaced in the counters + /stats.
         assert!(state.job_text(1).unwrap().contains("queued"));
@@ -1028,7 +1100,7 @@ mod tests {
             Err(SubmitError::Storage(_))
         ));
         assert!(state.storage_is_degraded());
-        assert_eq!(state.gate.depth(), 1, "failed sweep released its slot");
+        assert_eq!(state.book().depth, 1, "failed sweep released its slot");
         // While degraded, submissions are shed before admission…
         assert!(matches!(
             state.submit(&specs(&["p_add n=8"])),
@@ -1043,7 +1115,7 @@ mod tests {
         };
         state.finish(&job, "job-1 ok".to_string(), 1, false, false);
         assert!(state.job_text(ids[0]).unwrap().contains("done"));
-        assert_eq!(state.gate.depth(), 0, "drained");
+        assert_eq!(state.book().depth, 0, "drained");
         let stats = state.stats_text();
         assert!(stats.contains("storage_degraded=true"), "{stats}");
         assert!(state.counters.journal_errors.load(Ordering::Relaxed) >= 2);
@@ -1120,11 +1192,11 @@ mod tests {
     /// returns.
     fn finish_during_a_commit(state: &ServeState) -> Vec<(u64, String)> {
         {
-            let mut commits = state.lock(&state.commits);
-            commits.running = true;
-            commits.stop = true;
+            let mut book = state.book();
+            book.commits.running = true;
+            book.commits.stop = true;
         }
-        let jobs: Vec<QueuedJob> = state.lock(&state.queue).drain(..).collect();
+        let jobs: Vec<QueuedJob> = state.book().queue.drain(..).collect();
         jobs.iter()
             .map(|job| {
                 let line = format!("job-{} ok", job.id);
@@ -1151,7 +1223,7 @@ mod tests {
             state.sweep_text(sweep_id).unwrap(),
             "pending 0/8 jobs done\n"
         );
-        assert_eq!(state.gate.depth(), 8);
+        assert_eq!(state.book().depth, 8);
         assert_eq!(state.counters.completed.load(Ordering::Relaxed), 0);
 
         state.commit_loop();
@@ -1160,7 +1232,7 @@ mod tests {
             .sweep_text(sweep_id)
             .unwrap()
             .starts_with("complete jobs=8\n"));
-        assert_eq!(state.gate.depth(), 0);
+        assert_eq!(state.book().depth, 0);
         let stats = state.stats_text();
         assert!(
             stats.contains("\ndone_records=8\ndone_commits=1\n"),
@@ -1202,7 +1274,7 @@ mod tests {
             .unwrap()
             .starts_with("complete jobs=8\n"));
         assert_eq!(state.counters.completed.load(Ordering::Relaxed), 8);
-        assert_eq!(state.gate.depth(), 0, "every slot released");
+        assert_eq!(state.book().depth, 0, "every slot released");
     }
 
     #[test]
@@ -1277,7 +1349,7 @@ mod tests {
                 .count();
             assert!(torn < 8, "a short write never lands the whole batch");
             assert!((17 + torn as u64..=24).all(|id| resumed.job_text(id).is_none()));
-            assert_eq!(resumed.gate.depth(), 16 + torn);
+            assert_eq!(resumed.book().depth, 16 + torn);
             torn_lengths.insert(torn);
         }
         assert!(

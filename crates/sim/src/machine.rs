@@ -378,7 +378,8 @@ impl Machine {
     /// # Panics
     /// If the snapshot came from a machine with a different VLEN or
     /// memory size — restoring across shapes would silently corrupt
-    /// state, so it is a harness bug.
+    /// state, so it is a harness bug — or carries a `vl` above VLMAX,
+    /// which no program can set (snapshot decode refuses it).
     pub fn restore(&mut self, snap: &MachineSnapshot) {
         assert_eq!(
             snap.vlen, self.vlen,
@@ -389,6 +390,13 @@ impl Machine {
             snap.vregs.len(),
             self.vregs.len(),
             "vector register file size mismatch"
+        );
+        assert!(
+            snap.vtype
+                .map_or(snap.vl == 0, |t| snap.vl <= t.vlmax(self.vlen)),
+            "snapshot vl={} exceeds VLMAX under {:?}",
+            snap.vl,
+            snap.vtype
         );
         self.xregs = snap.xregs;
         self.vregs.copy_from_slice(&snap.vregs);

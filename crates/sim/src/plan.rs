@@ -12,17 +12,19 @@
 //! ## Bulk element paths
 //!
 //! The vector kernels a strip-mined loop runs most move whole slices of
-//! the register file and memory instead of one element at a time. Each
-//! such kernel but the unmasked compare first runs one precheck over the
-//! whole operation; only when it passes does the bulk path run, and
-//! otherwise the kernel's per-element loop runs unchanged, so traps, trap
-//! addresses and partially written state are the legacy interpreter's.
+//! the register file and memory instead of one element at a time. The
+//! memory-side kernels first run one precheck over the whole operation;
+//! only when it passes does the bulk path run, and otherwise the kernel's
+//! per-element loop runs unchanged, so traps, trap addresses and partially
+//! written state are the legacy interpreter's.
 //!
-//! * Register side: each operand's elements lie inside its aligned group.
-//!   Groups of one size are then the same or disjoint, so `vd` either is a
-//!   source or misses it. `vop.vv/.vx/.vi` (masked or not),
-//!   `vmv.v.v/.v.x/.v.i` and unmasked `vslideup`/`vslidedown` need no
-//!   more. Masks are walked a byte at a time.
+//! * Register side: each operand's elements lie inside its aligned group,
+//!   because `vl` never exceeds VLMAX (`vsetvl*` clamps it, and snapshot
+//!   decode and `Machine::restore` refuse a larger one). Groups of one
+//!   size are then the same or disjoint, so `vd` either is a source or
+//!   misses it. `vop.vv/.vx/.vi` (masked or not), `vmv.v.v/.v.x/.v.i` and
+//!   unmasked `vslideup`/`vslidedown` need no precheck and have no
+//!   per-element loop. Masks are walked a byte at a time.
 //! * Unmasked compares need no precheck: like the staged loop they read
 //!   every source element before writing a mask bit, and they read and
 //!   write the same bytes. Their loop runs only for masked compares.
@@ -489,16 +491,6 @@ fn group_off(m: &Machine, r: VReg) -> usize {
     r.num() as usize * m.vlenb() as usize
 }
 
-/// The register-side precheck of the bulk paths: an operand's `bytes` of
-/// elements lie inside its aligned group of `regs` registers, so two groups
-/// of one size hold the same region or disjoint ones and a whole-slice move
-/// equals the ascending per-element loop. `vsetvl` never sets `vl` that
-/// high; only a restored snapshot can, and then the per-element loop runs.
-#[inline(always)]
-fn within_group(m: &Machine, regs: u32, bytes: usize) -> bool {
-    bytes <= regs as usize * m.vlenb() as usize
-}
-
 /// Disjoint element regions of the register file: mutable at `offa`,
 /// shared at `offb` (the caller has proven the ranges don't overlap).
 #[inline(always)]
@@ -567,26 +559,8 @@ fn valu_exec<E: Elem, O: BinOp>(
     match src {
         VSrc::V(vs1) => {
             m.check_data_op(vd, &[vs2, vs1], vm)?;
-            let (t, vl) = m.vcfg()?;
-            if within_group(m, t.lmul.regs(), vl as usize * E::BYTES) {
-                valu_bulk::<E, O>(m, vl, vd, vs2, Some(vs1), 0, vm);
-                return Ok(());
-            }
-            if vm {
-                for i in 0..vl {
-                    let a = E::get(m, vs2, i);
-                    let b = E::get(m, vs1, i);
-                    E::set(m, vd, i, O::apply::<E>(a, b));
-                }
-            } else {
-                for i in 0..vl {
-                    if m.active(false, i) {
-                        let a = E::get(m, vs2, i);
-                        let b = E::get(m, vs1, i);
-                        E::set(m, vd, i, O::apply::<E>(a, b));
-                    }
-                }
-            }
+            let (_, vl) = m.vcfg()?;
+            valu_bulk::<E, O>(m, vl, vd, vs2, Some(vs1), 0, vm);
             Ok(())
         }
         VSrc::X(rs1) => {
@@ -605,31 +579,17 @@ fn valu_scalar<E: Elem, O: BinOp>(
     vm: bool,
 ) -> SimResult<()> {
     m.check_data_op(vd, &[vs2], vm)?;
-    let (t, vl) = m.vcfg()?;
-    let b = b & E::MAX;
-    if within_group(m, t.lmul.regs(), vl as usize * E::BYTES) {
-        valu_bulk::<E, O>(m, vl, vd, vs2, None, b, vm);
-        return Ok(());
-    }
-    if vm {
-        for i in 0..vl {
-            let a = E::get(m, vs2, i);
-            E::set(m, vd, i, O::apply::<E>(a, b));
-        }
-    } else {
-        for i in 0..vl {
-            if m.active(false, i) {
-                let a = E::get(m, vs2, i);
-                E::set(m, vd, i, O::apply::<E>(a, b));
-            }
-        }
-    }
+    let (_, vl) = m.vcfg()?;
+    valu_bulk::<E, O>(m, vl, vd, vs2, None, b & E::MAX, vm);
     Ok(())
 }
 
-/// Bulk path of `vop.vv/.vx/.vi`, once the caller's `within_group`
-/// precheck has passed: `vd[i] = vs2[i] ⊕ vs1[i]` for every active `i`, or
-/// `vs2[i] ⊕ b` when `vs1` is `None` (`b` already truncated to SEW).
+/// Bulk path of `vop.vv/.vx/.vi`: `vd[i] = vs2[i] ⊕ vs1[i]` for every
+/// active `i`, or `vs2[i] ⊕ b` when `vs1` is `None` (`b` already truncated
+/// to SEW). Every operand's `vl` elements lie inside its aligned group,
+/// since `vl` never exceeds VLMAX, so two groups of one size hold the same
+/// region or disjoint ones and a whole-slice move equals the ascending
+/// per-element loop.
 #[inline(always)]
 fn valu_bulk<E: Elem, O: BinOp>(
     m: &mut Machine,
@@ -686,17 +646,10 @@ fn vmove_exec<E: Elem>(m: &mut Machine, vd: VReg, src: VSrc) -> SimResult<()> {
     match src {
         VSrc::V(vs1) => {
             m.check_data_op(vd, &[vs1], true)?;
-            let (t, vl) = m.vcfg()?;
+            let (_, vl) = m.vcfg()?;
             let bytes = vl as usize * E::BYTES;
-            if within_group(m, t.lmul.regs(), bytes) {
-                let (d, s) = (group_off(m, vd), group_off(m, vs1));
-                m.vreg_store_mut().copy_within(s..s + bytes, d);
-                return Ok(());
-            }
-            for i in 0..vl {
-                let v = E::get(m, vs1, i);
-                E::set(m, vd, i, v);
-            }
+            let (d, s) = (group_off(m, vd), group_off(m, vs1));
+            m.vreg_store_mut().copy_within(s..s + bytes, d);
         }
         VSrc::X(rs1) => {
             let v = m.xreg(rs1);
@@ -709,18 +662,12 @@ fn vmove_exec<E: Elem>(m: &mut Machine, vd: VReg, src: VSrc) -> SimResult<()> {
 
 fn vmove_scalar<E: Elem>(m: &mut Machine, vd: VReg, v: u64) -> SimResult<()> {
     m.check_data_op(vd, &[], true)?;
-    let (t, vl) = m.vcfg()?;
+    let (_, vl) = m.vcfg()?;
     let v = v & E::MAX;
     let bytes = vl as usize * E::BYTES;
-    if within_group(m, t.lmul.regs(), bytes) {
-        let d = group_off(m, vd);
-        for x in m.vreg_store_mut()[d..d + bytes].chunks_exact_mut(E::BYTES) {
-            E::st(x, v);
-        }
-        return Ok(());
-    }
-    for i in 0..vl {
-        E::set(m, vd, i, v);
+    let d = group_off(m, vd);
+    for x in m.vreg_store_mut()[d..d + bytes].chunks_exact_mut(E::BYTES) {
+        E::st(x, v);
     }
     Ok(())
 }
@@ -897,7 +844,7 @@ fn vslide_exec<E: Elem>(
                 });
             }
             let start = off.value(m).min(vl as u64) as u32;
-            if vm && within_group(m, t.lmul.regs(), vl as usize * E::BYTES) {
+            if vm {
                 let d = group_off(m, vd) + start as usize * E::BYTES;
                 let (s, moved) = (group_off(m, vs2), (vl - start) as usize * E::BYTES);
                 m.vreg_store_mut().copy_within(s..s + moved, d);
@@ -917,7 +864,7 @@ fn vslide_exec<E: Elem>(
             let vlmax = t.vlmax(m.vlen()) as u64;
             let offset = off.value(m);
             let bytes = vl as usize * E::BYTES;
-            if vm && within_group(m, t.lmul.regs(), bytes) {
+            if vm {
                 // A memmove equals the ascending read-ahead loop below.
                 // Elements from VLMAX − offset on read as 0; `offset` is
                 // scaled only once it is below VLMAX, so it cannot overflow.
@@ -988,7 +935,7 @@ fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimRes
     m.check_emul_group(vd, regs)?;
     let (_, vl) = m.vcfg()?;
     let base = m.xreg(rs1);
-    if vload_bulk::<E>(m, vd, regs, base, vl, vm) {
+    if vload_bulk::<E>(m, vd, base, vl, vm) {
         return Ok(());
     }
     for i in 0..vl {
@@ -1001,17 +948,14 @@ fn vload_unit<E: Elem>(m: &mut Machine, vd: VReg, rs1: XReg, vm: bool) -> SimRes
     Ok(())
 }
 
-/// Bulk path of a unit-stride load into the `regs`-register group at
-/// `vd`: one bounds and guard check over `[base, base + vl·EEW)`, then a
-/// copy of the active elements. Returns `false`, having written nothing,
-/// when a precheck fails — also when only inactive elements fail the
-/// memory check, which the per-element loop skips.
+/// Bulk path of a unit-stride load into the group at `vd`: one bounds and
+/// guard check over `[base, base + vl·EEW)`, then a copy of the active
+/// elements. Returns `false`, having written nothing, when the check
+/// fails — also when only inactive elements fail it, which the
+/// per-element loop skips.
 #[inline(always)]
-fn vload_bulk<E: Elem>(m: &mut Machine, vd: VReg, regs: u32, base: u64, vl: u32, vm: bool) -> bool {
+fn vload_bulk<E: Elem>(m: &mut Machine, vd: VReg, base: u64, vl: u32, vm: bool) -> bool {
     let bytes = vl as usize * E::BYTES;
-    if !within_group(m, regs, bytes) {
-        return false;
-    }
     let d = group_off(m, vd);
     let (mem, vregs) = m.mem_and_vregs();
     let Ok(src) = mem.read_bytes(base, bytes as u64) else {
@@ -1038,7 +982,7 @@ fn vstore_unit<E: Elem>(m: &mut Machine, vs3: VReg, rs1: XReg, vm: bool) -> SimR
     // stays per element, since one write would dirty pages that only
     // inactive elements cover, and snapshots carry the dirty pages.
     let bytes = vl as usize * E::BYTES;
-    if vm && within_group(m, regs, bytes) {
+    if vm {
         let s = group_off(m, vs3);
         let (mem, vregs) = m.mem_and_vregs();
         if mem.write_bytes(base, &vregs[s..s + bytes]).is_ok() {

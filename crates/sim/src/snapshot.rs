@@ -185,6 +185,19 @@ pub(crate) fn decode_payload(r: &mut ByteReader<'_>) -> Result<MachineSnapshot, 
     let vregs = r.get_bytes()?.to_vec().into_boxed_slice();
     let vtype = get_vtype(r)?;
     let vl = r.get_u32()?;
+    // No program sets `vl` above VLMAX (`vsetvl*` clamps it; `vill` sets
+    // 0), so a snapshot that carries one is refused. Cross-multiplied in
+    // u64: the snapshot's `vlen` is not validated yet.
+    let fits = vtype.map_or(vl == 0, |t| {
+        let (num, den) = t.lmul.fraction();
+        u64::from(vl) * u64::from(den * t.sew.bits()) <= u64::from(vlen) * u64::from(num)
+    });
+    if !fits {
+        return Err(CodecError::BadValue {
+            what: "vl",
+            value: u64::from(vl),
+        });
+    }
     let counters = get_counters(r)?;
     let stop_pc = r.get_u64()?;
     let mem = get_mem(r)?;

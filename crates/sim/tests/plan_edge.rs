@@ -3,8 +3,9 @@
 //! vtype flips re-resolving the per-op specialization cache, and fuel
 //! exhaustion — every case checked against the legacy interpreter.
 
+use rvv_ckpt::CodecError;
 use rvv_isa::{AluOp, BranchCond, Instr, Lmul, Sew, VAluOp, VReg, VType, XReg};
-use rvv_sim::{CompiledPlan, Machine, MachineConfig, Program, SimError};
+use rvv_sim::{CompiledPlan, Machine, MachineConfig, MachineSnapshot, Program, SimError};
 
 fn machine() -> Machine {
     Machine::new(MachineConfig {
@@ -357,27 +358,26 @@ fn masked_load_into_v0_reads_each_mask_bit_after_earlier_writes() {
 }
 
 #[test]
-fn vl_above_vlmax_from_a_snapshot_takes_the_per_element_loop() {
-    // e32 m1 at VLEN 128 holds 4 elements per group, but a snapshot can
-    // carry vl = 8. vadd.vv v2, v1, v3 then reads its upper vs2 elements
-    // from v2, which its lower elements have just written: the ascending
-    // per-element order, not a whole-slice move, defines the result.
+fn a_snapshot_with_vl_above_vlmax_is_refused() {
+    // e32 m1 at VLEN 128 holds 4 elements per group. No program can set
+    // vl = 8 (`vsetvl*` clamps it), so neither snapshot decode nor
+    // `Machine::restore` takes it; under `vill` only vl = 0 fits.
     let mut m = machine();
     let mut snap = m.snapshot();
     snap.vtype = Some(VType::new(Sew::E32, Lmul::M1));
-    snap.vl = 8;
-    m.restore(&snap);
-    for r in 1..5u8 {
-        m.set_vreg_bytes(VReg::new(r), &[r; 16]);
+    snap.vl = 4;
+    assert_eq!(MachineSnapshot::from_bytes(&snap.to_bytes()).unwrap(), snap);
+    for (vtype, vl) in [(snap.vtype, 8), (None, 1)] {
+        let bad = MachineSnapshot {
+            vtype,
+            vl,
+            ..snap.clone()
+        };
+        assert!(matches!(
+            MachineSnapshot::from_bytes(&bad.to_bytes()),
+            Err(CodecError::BadValue { what: "vl", value }) if value == u64::from(vl)
+        ));
+        let restored = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| m.restore(&bad)));
+        assert!(restored.is_err(), "restore took vl={vl} under {vtype:?}");
     }
-    let add = Instr::VOpVV {
-        op: VAluOp::Add,
-        vd: VReg::new(2),
-        vs2: VReg::new(1),
-        vs1: VReg::new(3),
-        vm: true,
-    };
-    let m = both_from(&m, &Program::new("vl-above-vlmax", vec![add, Instr::Ecall]));
-    assert_eq!(m.vreg_bytes(VReg::new(2)), &[4; 16][..]);
-    assert_eq!(m.vreg_bytes(VReg::new(3)), &[8; 16][..]);
 }
