@@ -2,9 +2,9 @@
 //!
 //! Retries used to re-execute immediately, which turns a transiently
 //! overloaded resource into a thundering herd. A [`BackoffPolicy`] spaces
-//! attempts out exponentially and jitters each delay with a PRNG keyed by
-//! `(seed, job_index, attempt)` — the same keying discipline as
-//! `rvv-fault`'s per-job fault plans — so a degraded run's delay schedule
+//! attempts out exponentially and jitters each delay with `rvv_ckpt`'s
+//! [`mix64`] keyed by `(seed, job_index, attempt)` — the mixer every
+//! per-job fault plan is keyed through — so a degraded run's delay schedule
 //! is a pure function of the policy, reproducible across reruns and
 //! thread counts. The *delays* are deterministic; only whether a given
 //! attempt fails (and therefore whether a delay is consumed) depends on
@@ -14,18 +14,8 @@
 //! quarantined [`JobReport::backoff`](crate::JobReport::backoff) field and
 //! stays out of every stable digest.
 
+use rvv_ckpt::mix64;
 use std::time::Duration;
-
-/// SplitMix64 finalizer — the same mixer `rvv-fault` builds its keyed
-/// PRNGs from, inlined here (a dozen lines) rather than importing the
-/// crate: `rvv-fault` depends on the algorithm layer, and pulling it into
-/// the batch layer would invert the dependency stack.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// How failed attempts are spaced (see the module docs).
 ///

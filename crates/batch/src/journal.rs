@@ -102,8 +102,8 @@ pub struct JournalOptions {
     pub resume: bool,
     /// Crash harness: abort the process (SIGABRT, no unwinding, no
     /// cleanup — the deterministic stand-in for `kill -9`) immediately
-    /// after this many done records have been appended *by this process*.
-    /// `None` runs to completion.
+    /// after this many done records have been appended *by this process*
+    /// ([`QueueJournal::set_crash_after`]). `None` runs to completion.
     pub crash_after: Option<NonZeroU64>,
 }
 
@@ -327,37 +327,26 @@ where
     // Execute the remainder, journaling each completion as it happens.
     // The observer runs on worker threads in completion order; the queue
     // is a single append stream behind a mutex (append order does not
-    // matter — done records are keyed by job index), next to the count of
-    // done records this process appended. A failed append degrades
-    // instead of dying: journaling stops (warned once), the sweep itself
-    // finishes and returns its full result — the only thing lost is
-    // resumability from this point on.
-    let state = Mutex::new((Some(queue), 0u64));
-    let crash_after = opts.crash_after;
+    // matter — done records are keyed by job index), and it aborts the
+    // process at the crash point. A failed append degrades instead of
+    // dying: journaling stops (warned once), the sweep itself finishes and
+    // returns its full result — the only thing lost is resumability from
+    // this point on.
+    queue.set_crash_after(opts.crash_after);
+    let slot = Mutex::new(Some(queue));
     let live = runner.run_subset(&jobs, &remaining, &|index, report| {
-        let mut guard = state.lock().expect("journal writer poisoned");
-        let (slot, done) = &mut *guard;
+        let mut slot = slot.lock().expect("journal writer poisoned");
         let Some(queue) = slot.as_mut() else { return };
-        match queue.complete(index as u64, &encode_record(report)) {
-            Ok(()) => {
-                *done += 1;
-                if crash_after.is_some_and(|n| *done >= n.get()) {
-                    // The deterministic kill -9: no unwinding, no Drop, no
-                    // flush beyond what the append already wrote.
-                    std::process::abort();
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "rvv-batch: {}: journal append failed, journaling disabled \
-                     for the rest of this run: {e}",
-                    path.display()
-                );
-                *slot = None;
-            }
+        if let Err(e) = queue.complete(index as u64, &encode_record(report)) {
+            eprintln!(
+                "rvv-batch: {}: journal append failed, journaling disabled \
+                 for the rest of this run: {e}",
+                path.display()
+            );
+            *slot = None;
         }
     });
-    drop(state);
+    drop(slot);
 
     // Merge replayed and live reports in job order.
     let mut live = live.into_iter().peekable();

@@ -18,8 +18,8 @@
 
 use rvv_batch::{BatchJob, BatchRunner, Engine, JobOutcome};
 use rvv_fault::chaos::{chaos_config, run_algo, ChaosAlgo, CHAOS_FUEL};
-use rvv_fault::{ArmedFaults, FaultPlan};
-use scanvec::{ScanEnv, HEAP_BASE};
+use rvv_fault::FaultPlan;
+use scanvec::ScanEnv;
 use scanvec_bench::{check_flags, num_arg, threads_arg};
 use std::sync::Arc;
 
@@ -49,12 +49,7 @@ fn scenario_jobs(seed: u64) -> Vec<BatchJob<String>> {
                 // attempt), so a faulted job fails identically twice —
                 // exercising the retry path without changing the outcome.
                 .retries(1)
-                .with_setup(move |env| {
-                    for r in plan.guard_ranges(HEAP_BASE) {
-                        env.machine_mut().mem.add_guard(r);
-                    }
-                    env.attach_fault_hook(Box::new(ArmedFaults::new(&plan)));
-                }),
+                .with_setup(move |env| plan.arm(env)),
             );
         }
     }

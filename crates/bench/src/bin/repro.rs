@@ -38,9 +38,9 @@
 
 use rvv_batch::journal::{run_journaled, JournalOptions};
 use rvv_batch::{BatchJob, BatchResult, BatchRunner, Engine};
+use rvv_ckpt::queue::crash_point;
 use rvv_ckpt::{fnv1a, write_atomic};
-use rvv_fault::{ArmedFaults, CrashPoint, FaultPlan};
-use scanvec::HEAP_BASE;
+use rvv_fault::FaultPlan;
 use scanvec_bench::manifest::{self, Point, Sweep, MANIFEST};
 use scanvec_bench::{
     exec_engine_arg, flag_arg, max_n_arg, num_arg, positional_args, threads_arg, usage_error,
@@ -69,18 +69,12 @@ const JOURNAL_ONLY: [&str; 3] = ["--resume", "--crash-at", "--crash-seed"];
 /// Installed as the engine's default fuel budget, not per job.
 const INJECT_WATCHDOG: u64 = 1_000_000_000;
 
-/// Arm `FaultPlan::derive(seed, index)` on every job: guard regions on the
-/// device heap plus the [`ArmedFaults`] hook, installed by a per-attempt
-/// setup closure (the environment reset between jobs clears both).
+/// Arm `FaultPlan::derive(seed, index)` on every job, in a per-attempt
+/// setup closure (the environment reset between jobs disarms it).
 fn arm_injection(jobs: Vec<BatchJob<Point>>, seed: u64) -> Vec<BatchJob<Point>> {
     let armed = jobs.into_iter().enumerate().map(|(i, job)| {
         let plan = FaultPlan::derive(seed, i as u64);
-        job.with_setup(move |env| {
-            for r in plan.guard_ranges(HEAP_BASE) {
-                env.machine_mut().mem.add_guard(r);
-            }
-            env.attach_fault_hook(Box::new(ArmedFaults::new(&plan)));
-        })
+        job.with_setup(move |env| plan.arm(env))
     });
     armed.collect()
 }
@@ -142,9 +136,9 @@ fn main() {
         // the ordinal from the job count.
         let crash_after = crash_at.or_else(|| {
             crash_seed.map(|seed| {
-                let point = CrashPoint::derive(seed, jobs.len() as u64);
-                eprintln!("crash point derived: {point}");
-                NonZeroU64::new(point.ordinal).expect("derived crash points are at least 1")
+                let point = crash_point(seed, jobs.len() as u64);
+                eprintln!("crash point derived: crash@{point}");
+                point
             })
         });
         let opts = JournalOptions {

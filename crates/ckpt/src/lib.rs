@@ -17,6 +17,12 @@
 //! [`ChaosBackend`] under test — so the durability contracts are
 //! *exercised*, not assumed.
 //!
+//! The crate also holds the workspace's one seeded stream,
+//! [`XorShift64`] keyed through [`mix64`], next to [`fnv1a`]: a fault
+//! plan, a storage fault, a retry's jitter and the journal's crash point
+//! are each a pure function of a seed through them. The queue journal is
+//! where a crash point fires ([`queue::QueueJournal::set_crash_after`]).
+//!
 //! The design contract shared by all the pieces: **a reader either
 //! reproduces exactly what the writer recorded or reports why it cannot**
 //! — never a silently corrupt value. With salvage, "reports why" is
@@ -91,6 +97,63 @@ fn fnv1a_x4(bytes: [&[u8]; 4]) -> [u64; 4] {
         fnv1a_from(h[2], &c[n..]),
         fnv1a_from(h[3], &d[n..]),
     ]
+}
+
+/// SplitMix64 finalizer: avalanches a key so that nearby inputs (seed 1,
+/// seed 2, …) start uncorrelated streams. Every seeded draw in the
+/// workspace is keyed through it.
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// Xorshift64\* — the one seeded stream behind every injected failure:
+/// fault plans (`rvv-fault`), the [`ChaosBackend`]'s storage faults, the
+/// journal crash point ([`queue::crash_point`]) and the serve explorer's
+/// step choices. Tiny, dependency-free, and bit-identical in every build.
+#[derive(Debug, Clone)]
+pub struct XorShift64 {
+    state: u64,
+}
+
+impl XorShift64 {
+    /// Start from a raw state (zero, which xorshift cannot leave, is
+    /// remapped). Callers key the state through [`mix64`] themselves.
+    pub(crate) fn from_state(state: u64) -> XorShift64 {
+        XorShift64 {
+            state: if state == 0 { 0x9e37_79b9 } else { state },
+        }
+    }
+
+    /// Seed a generator (any seed works).
+    pub fn new(seed: u64) -> XorShift64 {
+        XorShift64::from_state(mix64(seed))
+    }
+
+    /// Seed from a `(seed, job_index)` pair — the keying every fault plan
+    /// uses.
+    pub fn from_pair(seed: u64, job_index: u64) -> XorShift64 {
+        XorShift64::new(seed ^ mix64(job_index))
+    }
+
+    /// Next 64 pseudo-random bits.
+    pub fn next_u64(&mut self) -> u64 {
+        let mut x = self.state;
+        x ^= x >> 12;
+        x ^= x << 25;
+        x ^= x >> 27;
+        self.state = x;
+        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    /// Uniform-ish value in `[0, n)`. Modulo bias is irrelevant at the
+    /// ranges the seeded draws use.
+    pub fn below(&mut self, n: u64) -> u64 {
+        debug_assert!(n > 0);
+        self.next_u64() % n
+    }
 }
 
 /// Why a decode failed. Every variant names what was being read, so the
@@ -1018,5 +1081,47 @@ mod tests {
             "JournalWriter::create_on must fsync the parent directory"
         );
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn prng_is_deterministic_and_key_sensitive() {
+        let stream = |seed, index| {
+            let mut r = XorShift64::from_pair(seed, index);
+            (0..8).map(|_| r.next_u64()).collect::<Vec<u64>>()
+        };
+        assert_eq!(stream(7, 3), stream(7, 3));
+        assert_ne!(
+            stream(7, 3),
+            stream(7, 4),
+            "job index must change the stream"
+        );
+        assert_ne!(stream(7, 3), stream(8, 3), "seed must change the stream");
+    }
+
+    #[test]
+    fn prng_draws_are_pinned() {
+        // Every fault plan, chaos-backend fault and crash point in the
+        // committed artifacts is drawn from these streams.
+        assert_eq!(mix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(mix64(1), 0x910a_2dec_8902_5cc1);
+        let mut r = XorShift64::from_pair(7, 3);
+        assert_eq!(
+            [r.next_u64(), r.next_u64(), r.next_u64()],
+            [
+                0x9015_7e70_6d6c_9b58,
+                0x52c5_63c4_ef9a_7238,
+                0x3cd1_aec5_bc0c_6f3c
+            ]
+        );
+        let mut r = XorShift64::new(0);
+        assert_eq!(
+            [r.next_u64(), r.next_u64()],
+            [0x7bbc_b40d_5506_82d0, 0xde7f_e413_d00c_c9fd]
+        );
+        let mut r = XorShift64::from_state(mix64(42) ^ mix64(5 + 1));
+        assert_eq!(
+            [r.next_u64(), r.next_u64()],
+            [0x944f_aefe_be34_9e81, 0x9804_a878_7cf2_1633]
+        );
     }
 }

@@ -24,10 +24,11 @@
 
 use crate::{
     fs_backend, open, parse_journal, seal, ByteReader, ByteWriter, JournalWriter, SalvageEntry,
-    StorageBackend,
+    StorageBackend, XorShift64,
 };
 use std::collections::BTreeMap;
 use std::io;
+use std::num::NonZeroU64;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -92,9 +93,25 @@ pub struct QueueRecovery {
 /// ([`QueueJournal::submit_all`]), and the done records that queue up
 /// while a commit runs as the next one ([`QueueJournal::complete_all`]):
 /// one write, one fsync each.
+///
+/// The crash harness lives here too: an owner that sets a crash point
+/// ([`QueueJournal::set_crash_after`]) dies the instant the N-th done
+/// record this writer appended is durable, whatever batch it arrived in.
 #[derive(Debug)]
 pub struct QueueJournal {
     writer: JournalWriter,
+    /// Done records appended through this writer.
+    done: u64,
+    crash_after: Option<NonZeroU64>,
+}
+
+/// Derive a crash point for a run of `jobs` jobs (at least 1) under
+/// `seed`: an ordinal drawn uniformly from `[1, jobs]`, so the crash
+/// lands after at least one done record and at or before the last. A
+/// pure function of `(seed, jobs)`, keyed like a fault plan.
+pub fn crash_point(seed: u64, jobs: u64) -> NonZeroU64 {
+    let mut rng = XorShift64::from_pair(seed, 0xc5a5_4e0d);
+    NonZeroU64::MIN.saturating_add(rng.below(jobs))
 }
 
 fn header(tag: &str) -> Vec<u8> {
@@ -147,9 +164,8 @@ impl QueueJournal {
         tag: &str,
         fsync_every: u32,
     ) -> io::Result<QueueJournal> {
-        Ok(QueueJournal {
-            writer: JournalWriter::create_on(backend, path, &header(tag), fsync_every)?,
-        })
+        let writer = JournalWriter::create_on(backend, path, &header(tag), fsync_every)?;
+        Ok(QueueJournal::new(writer))
     }
 
     /// Reopen a queue journal, replaying its valid prefix: verifies the
@@ -243,7 +259,25 @@ impl QueueJournal {
             salvage: journal.salvage,
         };
         let writer = JournalWriter::resume_on(backend, path, journal.valid_len, fsync_every)?;
-        Ok((QueueJournal { writer }, recovery))
+        Ok((QueueJournal::new(writer), recovery))
+    }
+
+    fn new(writer: JournalWriter) -> QueueJournal {
+        QueueJournal {
+            writer,
+            done: 0,
+            crash_after: None,
+        }
+    }
+
+    /// Crash harness: abort the process (SIGABRT, no unwinding, no drop
+    /// glue — the deterministic stand-in for `kill -9`) the instant the
+    /// `n`-th done record appended through this writer is durable. A
+    /// batch that would pass it is cut there: its first records up to the
+    /// `n`-th are appended and synced, the rest never reach the journal.
+    /// Submits do not count. `None` (the default) never aborts.
+    pub fn set_crash_after(&mut self, n: Option<NonZeroU64>) {
+        self.crash_after = n;
     }
 
     /// Journal a submission. Durable (for `fsync_every = 1`) when this
@@ -261,7 +295,8 @@ impl QueueJournal {
         &mut self,
         jobs: impl IntoIterator<Item = (u64, &'a [u8])>,
     ) -> io::Result<()> {
-        self.append_all(TAG_SUBMIT, jobs)
+        self.append_all(TAG_SUBMIT, jobs)?;
+        Ok(())
     }
 
     /// Journal a completion, pairing a prior submit.
@@ -274,25 +309,38 @@ impl QueueJournal {
     /// [`QueueJournal::submit_all`]: the same bytes as one
     /// [`QueueJournal::complete`] per job, all durable when this returns.
     /// A crash mid-batch replays a prefix of the batch as completed and
-    /// the rest as pending, to re-run.
+    /// the rest as pending, to re-run. With a crash point set, this is
+    /// where the process aborts (see [`QueueJournal::set_crash_after`]).
     pub fn complete_all<'a>(
         &mut self,
         jobs: impl IntoIterator<Item = (u64, &'a [u8])>,
     ) -> io::Result<()> {
-        self.append_all(TAG_DONE, jobs)
+        let left = self
+            .crash_after
+            .map_or(u64::MAX, |n| n.get().saturating_sub(self.done));
+        let cut = usize::try_from(left).unwrap_or(usize::MAX);
+        self.done += self.append_all(TAG_DONE, jobs.into_iter().take(cut))?;
+        if self.crash_after.is_some_and(|n| self.done >= n.get()) {
+            // The crash point is reached: make its records durable (they
+            // are already, at `fsync_every = 1`) and die like `kill -9`.
+            let _ = self.writer.sync();
+            std::process::abort();
+        }
+        Ok(())
     }
 
+    /// Append `jobs` as records of kind `tag`; returns how many.
     fn append_all<'a>(
         &mut self,
         tag: u8,
         jobs: impl IntoIterator<Item = (u64, &'a [u8])>,
-    ) -> io::Result<()> {
+    ) -> io::Result<u64> {
         let records: Vec<Vec<u8>> = jobs
             .into_iter()
             .map(|(id, payload)| encode_entry(tag, id, payload))
             .collect();
         self.writer.append_all(records.iter().map(Vec::as_slice))?;
-        Ok(())
+        Ok(records.len() as u64)
     }
 
     /// Records appended through this writer (submits + completions).

@@ -15,12 +15,12 @@
 //!   torn tail, so crash/recovery properties are testable without real
 //!   power cuts.
 //!
-//! Fault points are keyed `(seed, op ordinal)` through the same
-//! xorshift64* / SplitMix64 construction as `rvv-fault`'s plans (the
-//! generator is duplicated here rather than imported so `rvv-ckpt` stays
-//! dependency-free): a given plan faults the same operations on every
-//! run, which is what makes the storage-chaos ablation reproducible.
+//! Fault points are keyed `(seed, op ordinal)` through the crate's
+//! [`XorShift64`] and [`mix64`], the stream `rvv-fault`'s plans draw from:
+//! a given plan faults the same operations on every run, which is what
+//! makes the storage-chaos ablation reproducible.
 
+use crate::{mix64, XorShift64};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -119,36 +119,12 @@ impl StorageBackend for FsBackend {
 
 // ------------------------------------------------------------- chaos --
 
-/// SplitMix64 finalizer — same constants as `rvv-fault::mix64`, so chaos
-/// plans here are keyed exactly like fault plans there.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// A tiny xorshift64* stream keyed by `(seed, ordinal)` — the per-op
-/// decision source for every injected storage fault.
-struct OpRng(u64);
-
-impl OpRng {
-    fn new(seed: u64, ordinal: u64) -> OpRng {
-        let state = mix64(seed) ^ mix64(ordinal.wrapping_add(1));
-        OpRng(if state == 0 { 0x9e37_79b9 } else { state })
-    }
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next() % n
-    }
+/// The per-op decision stream for every injected storage fault, keyed by
+/// `(seed, ordinal)`. Its state is `mix64(seed) ^ mix64(ordinal + 1)`,
+/// not [`XorShift64::from_pair`]'s keying, so every committed storage
+/// draw stays where it was.
+fn op_rng(seed: u64, ordinal: u64) -> XorShift64 {
+    XorShift64::from_state(mix64(seed) ^ mix64(ordinal.wrapping_add(1)))
 }
 
 /// Does a seeded periodic fault fire at this op ordinal? `period = 0`
@@ -156,8 +132,8 @@ impl OpRng {
 /// one op in `p`, at ordinals that are a pure function of the seed.
 fn fires(seed: u64, salt: u64, ordinal: u64, period: u64) -> bool {
     period != 0
-        && OpRng::new(seed ^ mix64(salt), ordinal)
-            .next()
+        && op_rng(seed ^ mix64(salt), ordinal)
+            .next_u64()
             .is_multiple_of(period)
 }
 
@@ -347,7 +323,7 @@ impl ChaosBackend {
             let inode = st.inodes.get_mut(id).expect("durable inode exists");
             let tail = inode.data.len() - inode.flushed;
             let keep = if torn && tail > 0 {
-                OpRng::new(
+                op_rng(
                     seed ^ mix64(SALT_TORN),
                     crash_no.wrapping_mul(1031) + seq as u64,
                 )
@@ -396,8 +372,8 @@ impl StorageFile for ChaosFile {
         let inode = st.inodes.get_mut(&self.inode).expect("open inode exists");
         if hard_fail || transient {
             if self.plan.short_writes && !buf.is_empty() {
-                let keep = OpRng::new(self.plan.seed ^ mix64(SALT_WRITE), op)
-                    .below(buf.len() as u64) as usize;
+                let keep =
+                    op_rng(self.plan.seed ^ mix64(SALT_WRITE), op).below(buf.len() as u64) as usize;
                 inode.data.extend_from_slice(&buf[..keep]);
             }
             return Err(io::Error::other(if hard_fail {
@@ -444,7 +420,7 @@ impl StorageBackend for ChaosBackend {
                 .read_bitflip_period
                 .is_some_and(|p| fires(self.plan.seed, SALT_READ, op, p))
         {
-            let mut rng = OpRng::new(self.plan.seed ^ mix64(SALT_READ), op);
+            let mut rng = op_rng(self.plan.seed ^ mix64(SALT_READ), op);
             let at = rng.below(bytes.len() as u64) as usize;
             bytes[at] ^= 1 << rng.below(8);
         }

@@ -14,9 +14,10 @@
 //! The harness is shared by the `chaos` integration test (tier-1) and the
 //! `ablation_faults` bench binary (scaled-up manifest run).
 
-use crate::{ArmedFaults, FaultPlan, XorShift64};
+use crate::{FaultPlan, XorShift64};
+use rvv_ckpt::fnv1a;
 use rvv_isa::Sew;
-use scanvec::{Engine, EnvConfig, ExecEngine, ScanEnv, ScanResult, HEAP_BASE};
+use scanvec::{Engine, EnvConfig, ExecEngine, ScanEnv, ScanResult};
 use scanvec_algos as algos;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -76,20 +77,12 @@ impl ChaosAlgo {
     }
 }
 
-/// FNV-1a over a byte stream — a stable, order-sensitive output
-/// fingerprint (not cryptographic; just collision-resistant enough to
-/// catch silent corruption).
-fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// FNV-1a over the words' little-endian bytes — a stable,
+/// order-sensitive output fingerprint (not cryptographic; just
+/// collision-resistant enough to catch silent corruption).
 fn fp_u32s(words: impl IntoIterator<Item = u32>) -> u64 {
-    fnv1a(words.into_iter().flat_map(|w| w.to_le_bytes()))
+    let bytes: Vec<u8> = words.into_iter().flat_map(u32::to_le_bytes).collect();
+    fnv1a(&bytes)
 }
 
 /// Run `algo` on input derived from `data_seed` with problem size `n`.
@@ -156,7 +149,7 @@ pub fn run_algo(
         ChaosAlgo::LineOfSight => {
             let alt: Vec<u32> = (0..n).map(|_| rng.below(1000) as u32).collect();
             let (vis, _) = algos::line_of_sight(env, &alt, 500)?;
-            fnv1a(vis.into_iter().map(|b| b as u8))
+            fnv1a(&vis.into_iter().map(u8::from).collect::<Vec<u8>>())
         }
         ChaosAlgo::Spmv => {
             let rows = n.div_ceil(4).max(1);
@@ -255,11 +248,7 @@ pub fn run_scenario(
         env.reset();
         env.set_exec_engine(exec);
 
-        // Arm the plan: guards on memory, everything else via the hook.
-        for r in fault_plan.guard_ranges(HEAP_BASE) {
-            env.machine_mut().mem.add_guard(r);
-        }
-        env.attach_fault_hook(Box::new(ArmedFaults::new(&fault_plan)));
+        fault_plan.arm(&mut env);
         env.set_fuel_budget(Some(CHAOS_FUEL));
 
         // Contract 1: no panic escapes.

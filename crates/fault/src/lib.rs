@@ -6,12 +6,15 @@
 //! provides:
 //!
 //! * [`FaultPlan`] — a seeded description of *which* faults to
-//!   inject *where*, derived from `(seed, job_index)` with a self-contained
-//!   xorshift64* PRNG (no `rand` dependency anywhere near the injection
-//!   path).
-//! * [`ArmedFaults`] — a [`rvv_sim::FaultHook`] that fires a plan's faults
-//!   at exact instruction/access ordinals, identically on the plan engine
-//!   and the legacy interpreter.
+//!   inject *where*, derived from `(seed, job_index)` with the workspace's
+//!   one seeded stream, [`XorShift64`] (defined in `rvv-ckpt`, re-exported
+//!   here; no `rand` dependency anywhere near the injection path).
+//!   [`FaultPlan::arm`] is the one way to arm a plan on an environment.
+//! * [`ArmedFaults`] — the [`rvv_sim::FaultHook`] `arm` attaches: it fires
+//!   a plan's faults at exact instruction/access ordinals, identically on
+//!   every run-loop tier.
+//! * [`ServeFault`] and [`StorageFault`] — the same keyed draws for the
+//!   sweep service's per-job chaos and the storage-chaos matrix.
 //! * [`chaos`] — a differential harness that runs the eight scan-vector
 //!   algorithms under injected faults on **both** engines and checks the
 //!   no-panic / no-divergence / clean-recovery contract.
@@ -30,62 +33,11 @@
 
 pub mod chaos;
 
+pub use rvv_ckpt::XorShift64;
 use rvv_isa::{decode, encode, Instr};
 use rvv_sim::{FaultAction, FaultHook, MemAccess, SimError};
+use scanvec::{ScanEnv, HEAP_BASE};
 use std::fmt;
-
-// ---------------------------------------------------------------- PRNG --
-
-/// Xorshift64* — tiny, seedable, and good enough for picking fault points.
-/// Lives here so the injection path has **no** dependency on the `rand`
-/// crate (vendored or otherwise): fault plans must be derivable in any
-/// build of this workspace, bit-identically.
-#[derive(Debug, Clone)]
-pub struct XorShift64 {
-    state: u64,
-}
-
-/// SplitMix64 finalizer: avalanches a seed so that nearby inputs (seed 1,
-/// seed 2, …) produce uncorrelated streams.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl XorShift64 {
-    /// Seed a generator (any seed works; zero is remapped internally).
-    pub fn new(seed: u64) -> XorShift64 {
-        let state = mix64(seed);
-        XorShift64 {
-            state: if state == 0 { 0x9e37_79b9 } else { state },
-        }
-    }
-
-    /// Seed from a `(seed, job_index)` pair — the keying every
-    /// [`FaultPlan`] uses.
-    pub fn from_pair(seed: u64, job_index: u64) -> XorShift64 {
-        XorShift64::new(seed ^ mix64(job_index))
-    }
-
-    /// Next 64 pseudo-random bits.
-    pub fn next_u64(&mut self) -> u64 {
-        let mut x = self.state;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.state = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    /// Uniform-ish value in `[0, n)`. Modulo bias is irrelevant at the
-    /// ranges fault plans draw from.
-    pub fn below(&mut self, n: u64) -> u64 {
-        debug_assert!(n > 0);
-        self.next_u64() % n
-    }
-}
 
 // -------------------------------------------------------------- faults --
 
@@ -136,9 +88,9 @@ pub enum Fault {
         encoding: u32,
     },
     /// Arm a guard region at `offset` bytes into the device heap, `len`
-    /// bytes long. Not a hook-level fault — the harness arms it on the
-    /// environment's memory before launching ([`Fault::guard_range`]);
-    /// kernels that stray into it trap with [`SimError::GuardHit`].
+    /// bytes long. Not a hook-level fault — [`FaultPlan::arm`] arms it on
+    /// the environment's memory before launching; kernels that stray into
+    /// it trap with [`SimError::GuardHit`].
     GuardRegion {
         /// Byte offset from the heap base.
         offset: u64,
@@ -150,7 +102,7 @@ pub enum Fault {
 impl Fault {
     /// The absolute address range a [`Fault::GuardRegion`] arms, given the
     /// heap base address; `None` for every other variant.
-    pub fn guard_range(&self, heap_base: u64) -> Option<std::ops::Range<u64>> {
+    fn guard_range(&self, heap_base: u64) -> Option<std::ops::Range<u64>> {
         match self {
             Fault::GuardRegion { offset, len } => {
                 let start = heap_base.saturating_add(*offset);
@@ -260,12 +212,17 @@ impl FaultPlan {
         }
     }
 
-    /// Every guard range this plan arms (absolute, given the heap base).
-    pub fn guard_ranges(&self, heap_base: u64) -> Vec<std::ops::Range<u64>> {
-        self.faults
-            .iter()
-            .filter_map(|f| f.guard_range(heap_base))
-            .collect()
+    /// Arm this plan on `env` for one attempt: its guard regions over the
+    /// device heap, and an [`ArmedFaults`] hook for everything else. The
+    /// environment's reset between attempts clears both, so a job arms
+    /// its plan in the setup that runs before each attempt.
+    pub fn arm(&self, env: &mut ScanEnv) {
+        for fault in &self.faults {
+            if let Some(range) = fault.guard_range(HEAP_BASE) {
+                env.machine_mut().mem.add_guard(range);
+            }
+        }
+        env.attach_fault_hook(Box::new(ArmedFaults::new(self)));
     }
 }
 
@@ -281,47 +238,6 @@ impl fmt::Display for FaultPlan {
             write!(f, "{fault}")?;
         }
         Ok(())
-    }
-}
-
-// -------------------------------------------------------- crash points --
-
-/// A process-level fault: abort the whole process after the `ordinal`-th
-/// journal record is written (1-based). This is the crash-recovery
-/// harness's deterministic stand-in for `kill -9` — the sweep dies at a
-/// seeded, reproducible point mid-run, and the recovery test resumes the
-/// journal and asserts byte-identical results.
-///
-/// Deliberately **not** a [`Fault`] variant: every `Fault` fires inside
-/// the simulator and is handled by the run loop; a `CrashPoint` fires in
-/// the *host* process and is handled by nobody — that asymmetry is the
-/// whole point, and keeping the types separate keeps [`ArmedFaults`]'s
-/// exhaustive match honest about what a hook can see.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CrashPoint {
-    /// Abort after this many journal records have been written (1-based;
-    /// `1` means "crash after the first completed job is durable").
-    pub ordinal: u64,
-}
-
-impl CrashPoint {
-    /// Derive a crash point for a sweep of `jobs` jobs under `seed`: the
-    /// ordinal is drawn uniformly from `[1, jobs]`, so the crash lands
-    /// after at least one record and before (or exactly at) the last —
-    /// always somewhere a resume has real work left or real work done.
-    /// Pure function of `(seed, jobs)`, like [`FaultPlan::derive`].
-    pub fn derive(seed: u64, jobs: u64) -> CrashPoint {
-        debug_assert!(jobs > 0);
-        let mut rng = XorShift64::from_pair(seed, 0xc5a5_4e0d);
-        CrashPoint {
-            ordinal: 1 + rng.below(jobs),
-        }
-    }
-}
-
-impl fmt::Display for CrashPoint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "crash@{}", self.ordinal)
     }
 }
 
@@ -479,9 +395,9 @@ impl fmt::Display for StorageFault {
 ///
 /// Purely ordinal-driven: it counts consulted instructions and memory
 /// read/write instructions, and fires each armed fault the moment its
-/// ordinal comes up. Attach one per job attempt — the counters are the
-/// job's, not the launch's, so a fault can fire in any kernel the job
-/// launches.
+/// ordinal comes up. [`FaultPlan::arm`] attaches one per job attempt —
+/// the counters are the job's, not the launch's, so a fault can fire in
+/// any kernel the job launches.
 #[derive(Debug, Clone)]
 pub struct ArmedFaults {
     faults: Vec<Fault>,
@@ -492,8 +408,8 @@ pub struct ArmedFaults {
 
 impl ArmedFaults {
     /// Arm `plan`'s faults ([`Fault::GuardRegion`] entries are ignored
-    /// here — arm those on the environment's memory).
-    pub fn new(plan: &FaultPlan) -> ArmedFaults {
+    /// here — [`FaultPlan::arm`] arms those on the environment's memory).
+    fn new(plan: &FaultPlan) -> ArmedFaults {
         ArmedFaults {
             faults: plan.faults.clone(),
             instrs: 0,
@@ -575,29 +491,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn prng_is_deterministic_and_key_sensitive() {
-        let a: Vec<u64> = {
-            let mut r = XorShift64::from_pair(7, 3);
-            (0..8).map(|_| r.next_u64()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = XorShift64::from_pair(7, 3);
-            (0..8).map(|_| r.next_u64()).collect()
-        };
-        assert_eq!(a, b);
-        let c: Vec<u64> = {
-            let mut r = XorShift64::from_pair(7, 4);
-            (0..8).map(|_| r.next_u64()).collect()
-        };
-        assert_ne!(a, c, "job index must change the stream");
-        let d: Vec<u64> = {
-            let mut r = XorShift64::from_pair(8, 3);
-            (0..8).map(|_| r.next_u64()).collect()
-        };
-        assert_ne!(a, d, "seed must change the stream");
-    }
-
-    #[test]
     fn plans_derive_deterministically() {
         for job in 0..64 {
             assert_eq!(FaultPlan::derive(42, job), FaultPlan::derive(42, job));
@@ -644,26 +537,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn crash_points_derive_in_range() {
-        for seed in 0..64u64 {
-            for jobs in [1u64, 2, 24, 40] {
-                let cp = CrashPoint::derive(seed, jobs);
-                assert_eq!(cp, CrashPoint::derive(seed, jobs), "pure function");
-                assert!((1..=jobs).contains(&cp.ordinal), "{cp} out of [1, {jobs}]");
-            }
-        }
-        // Different seeds spread over the range.
-        let distinct: std::collections::HashSet<u64> =
-            (0..64).map(|s| CrashPoint::derive(s, 40).ordinal).collect();
-        assert!(
-            distinct.len() > 8,
-            "only {} distinct ordinals",
-            distinct.len()
-        );
-        assert_eq!(CrashPoint { ordinal: 17 }.to_string(), "crash@17");
     }
 
     #[test]

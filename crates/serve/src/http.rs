@@ -61,15 +61,28 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
             break;
         }
     }
-    let Ok(head) = String::from_utf8(head) else {
-        return refuse(stream, &mut reader, 400, "request head must be utf-8\n");
+    let (method, path, content_length) = match parse_head(head) {
+        Ok(head) => head,
+        Err((code, text)) => return refuse(stream, &mut reader, code, text),
     };
+    let mut body = vec![0u8; content_length];
+    reader.read_exact(&mut body)?;
+    match String::from_utf8(body) {
+        Ok(body) => Ok(Some(Request { method, path, body })),
+        Err(_) => refuse(stream, &mut reader, 400, "body must be utf-8\n"),
+    }
+}
+
+/// Parse a request head read under the caps: the method and path (the
+/// request line's first two tokens) and the body length, or the refusal
+/// to answer with. Pure, so it is fuzzed on its own.
+fn parse_head(head: Vec<u8>) -> Result<(String, String, usize), (u16, &'static str)> {
+    let head = String::from_utf8(head).map_err(|_| (400, "request head must be utf-8\n"))?;
     let mut lines = head.lines();
     let request_line = lines.next().unwrap_or("");
     let mut parts = request_line.split_ascii_whitespace();
-    let (method, path) = match (parts.next(), parts.next()) {
-        (Some(m), Some(p)) => (m.to_string(), p.to_string()),
-        _ => return refuse(stream, &mut reader, 400, "malformed request line\n"),
+    let (Some(method), Some(path)) = (parts.next(), parts.next()) else {
+        return Err((400, "malformed request line\n"));
     };
     let mut content_length = 0usize;
     for header in lines {
@@ -77,17 +90,12 @@ pub fn read_request(stream: &mut TcpStream) -> io::Result<Option<Request>> {
             if name.eq_ignore_ascii_case("content-length") {
                 match value.trim().parse::<usize>() {
                     Ok(n) if n <= MAX_BODY_BYTES => content_length = n,
-                    _ => return refuse(stream, &mut reader, 413, "body too large\n"),
+                    _ => return Err((413, "body too large\n")),
                 }
             }
         }
     }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body)?;
-    match String::from_utf8(body) {
-        Ok(body) => Ok(Some(Request { method, path, body })),
-        Err(_) => refuse(stream, &mut reader, 400, "body must be utf-8\n"),
-    }
+    Ok((method.to_string(), path.to_string(), content_length))
 }
 
 /// Answer a request with a 4xx and end the exchange so the peer reads
@@ -292,6 +300,134 @@ mod tests {
     fn non_utf8_heads_get_400() {
         let reply = raw_exchange(b"GET /\xff HTTP/1.1\r\n\r\n");
         assert!(reply.contains("400"), "{reply:?}");
+    }
+
+    /// Property tests of [`parse_head`] on untrusted bytes.
+    mod fuzz {
+        use super::super::{parse_head, MAX_BODY_BYTES};
+        use proptest::prelude::*;
+
+        /// Pieces of request heads: methods, paths, header names,
+        /// `Content-Length` values on both sides of the cap, separators
+        /// and line ends.
+        const TEXT: [&str; 21] = [
+            "GET",
+            "POST",
+            "/sweeps",
+            "/jobs/1",
+            "HTTP/1.1",
+            " ",
+            "\t",
+            "\r",
+            "\n",
+            "\r\n",
+            ":",
+            "Content-Length",
+            "content-length",
+            "Host",
+            "0",
+            "12",
+            "262144",
+            "262145",
+            "18446744073709551616",
+            "-1",
+            "\0",
+        ];
+        /// Bytes that are not UTF-8: a stray byte and two cut sequences.
+        const NOT_UTF8: [&[u8]; 3] = [b"\xff", b"\xc3", b"\xe2\x82"];
+
+        /// A soup of [`TEXT`] pieces, UTF-8 by construction.
+        fn text() -> impl Strategy<Value = String> {
+            prop::collection::vec(0..TEXT.len(), 0..=16)
+                .prop_map(|picks| picks.into_iter().map(|i| TEXT[i]).collect())
+        }
+
+        /// A soup of pieces, one in eight of them not UTF-8.
+        fn soup() -> impl Strategy<Value = Vec<u8>> {
+            let piece = prop_oneof![
+                7 => (0..TEXT.len()).prop_map(|i| TEXT[i].as_bytes().to_vec()),
+                1 => (0..NOT_UTF8.len()).prop_map(|i| NOT_UTF8[i].to_vec()),
+            ];
+            prop::collection::vec(piece, 0..=32).prop_map(|pieces| pieces.concat())
+        }
+
+        /// A head with a well-formed request line and soups for headers,
+        /// one of which states `length`.
+        fn head_with_length() -> impl Strategy<Value = (Vec<u8>, u64)> {
+            let cap = MAX_BODY_BYTES as u64;
+            let length = prop_oneof![cap - 2..=cap + 2, 0..=2 * cap, any::<u64>()];
+            (text(), text(), length, 0..2usize).prop_map(|(before, after, length, form)| {
+                let name = ["Content-Length", "CONTENT-length"][form];
+                let head =
+                    format!("POST /sweeps HTTP/1.1\r\n{before}\r\n{name}: {length}\r\n{after}");
+                (head.into_bytes(), length)
+            })
+        }
+
+        /// Check what holds of every head, and return the verdict.
+        fn check(head: &[u8]) -> Result<(String, String, usize), (u16, &'static str)> {
+            let verdict = parse_head(head.to_vec());
+            match &verdict {
+                Ok((method, path, length)) => {
+                    let text = std::str::from_utf8(head).expect("accepted heads are utf-8");
+                    let line = text.lines().next().unwrap_or("");
+                    let mut tokens = line.split_ascii_whitespace();
+                    assert_eq!(tokens.next(), Some(method.as_str()), "{head:?}");
+                    assert_eq!(tokens.next(), Some(path.as_str()), "{head:?}");
+                    assert!(*length <= MAX_BODY_BYTES, "{head:?}");
+                }
+                Err((code, _)) => {
+                    assert!([400, 413].contains(code), "{head:?} refused {code}");
+                    if std::str::from_utf8(head).is_err() {
+                        assert_eq!(*code, 400, "{head:?}");
+                    }
+                }
+            }
+            verdict
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            #[test]
+            fn arbitrary_bytes_never_panic(head in prop::collection::vec(any::<u8>(), 0..=512)) {
+                check(&head).ok();
+            }
+
+            #[test]
+            fn token_soups_never_panic(head in soup()) {
+                check(&head).ok();
+            }
+
+            #[test]
+            fn a_length_above_the_cap_refuses_413((head, length) in head_with_length()) {
+                let verdict = check(&head);
+                if length > MAX_BODY_BYTES as u64 {
+                    prop_assert_eq!(verdict.map_err(|(code, _)| code), Err(413));
+                }
+            }
+
+            #[test]
+            fn a_head_that_is_not_utf8_refuses_400(
+                (mut head, _) in head_with_length(),
+                at in any::<usize>(),
+            ) {
+                let at = at % (head.len() + 1);
+                head.insert(at, 0xff);
+                prop_assert_eq!(check(&head).map_err(|(code, _)| code), Err(400));
+            }
+        }
+
+        #[test]
+        fn the_soups_reach_every_verdict() {
+            assert!(check(b"GET /jobs/1 HTTP/1.1\r\nContent-Length: 12\r\n\r\n").is_ok());
+            assert_eq!(check(b"GET\r\n\r\n").map_err(|(c, _)| c), Err(400));
+            assert_eq!(check(b"GET / \xff\r\n").map_err(|(c, _)| c), Err(400));
+            assert_eq!(
+                check(b"POST / x\r\ncontent-length:262145\r\n").map_err(|(c, _)| c),
+                Err(413)
+            );
+        }
     }
 
     #[test]

@@ -14,9 +14,9 @@
 //!   byte-identical to an uninterrupted run. A job reads done only once
 //!   its done record is durable; one committer thread writes the done
 //!   records that queue up during a commit with one write and one fsync.
-//! * **Deadlines** — a supervisor thread cancels overdue jobs
-//!   cooperatively ([`scanvec::CancelToken`] observed at instruction
-//!   boundaries in every execution tier).
+//! * **Deadlines** — the thread watching for termination also cancels
+//!   overdue jobs, cooperatively ([`scanvec::CancelToken`] observed at
+//!   instruction boundaries in every execution tier).
 //! * **Bounded everything** — admission control sheds work beyond the
 //!   configured queue depth (429 + Retry-After), request heads and bodies
 //!   are size-capped, retries are bounded and spaced by deterministic

@@ -1,5 +1,6 @@
 //! The server proper: listener loop, connection handlers, worker pool,
-//! committer, and the deadline supervisor — all over one [`ServeState`].
+//! committer, and the watcher that ticks deadlines — all over one
+//! [`ServeState`].
 //!
 //! Thread model: an acceptor thread blocks in `accept()` on the listener,
 //! so a connection is picked up the moment it arrives; each accepted
@@ -10,12 +11,12 @@
 //! [`execute_job`] with per-worker [`SessionPool`]s and hand each done
 //! record to the commit stage; one committer thread writes the done
 //! records queued since its last commit with one write and one fsync, and
-//! only then flips those jobs to done and releases their admission slots;
-//! one supervisor thread ticks the deadline registry. The thread that
-//! called [`Server::serve_until`] watches the termination predicate and
-//! the drain flag off the request path. On drain (the predicate, or `POST
-//! /shutdown`) it wakes the acceptor with one connection of its own, stops
-//! admissions, joins every worker once the queue is empty, then the
+//! only then flips those jobs to done and releases their admission slots.
+//! The thread that called [`Server::serve_until`] watches the termination
+//! predicate and the drain flag off the request path, and ticks the
+//! deadline registry when a deadline is set. On drain (the predicate, or
+//! `POST /shutdown`) it wakes the acceptor with one connection of its own,
+//! stops admissions, joins every worker once the queue is empty, then the
 //! committer once their done records are durable, syncs, and returns
 //! `Ok(())` — exit code 0.
 
@@ -23,8 +24,6 @@ use crate::http::{read_request, respond, respond_with, Request};
 use crate::spec::JobSpec;
 use crate::state::{ServeOptions, ServeState, SubmitError};
 use rvv_batch::{execute_job, BackoffPolicy, JobOutcome, SessionPool};
-use rvv_fault::ArmedFaults;
-use scanvec::HEAP_BASE;
 use std::io;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,12 +32,11 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 /// How often the calling thread of [`Server::serve_until`] checks the
-/// termination predicate, the drain flag and the acceptor.
+/// termination predicate, the drain flag and the acceptor, and ticks the
+/// deadline registry.
 const WATCH_POLL: Duration = Duration::from_millis(2);
 /// Bound on the one connection that wakes the acceptor for a drain.
 const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
-/// How often the deadline supervisor ticks.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(5);
 
 /// A bound, not-yet-running server.
 pub struct Server {
@@ -128,28 +126,25 @@ impl Server {
                 thread::spawn(move || worker_loop(&state, worker))
             })
             .collect();
-        let supervisor = state.opts.deadline.map(|_| {
-            let state = Arc::clone(&state);
-            thread::spawn(move || {
-                while !(state.is_draining()) {
-                    state.cancel_overdue(Instant::now());
-                    thread::sleep(SUPERVISOR_POLL);
-                }
-                // One final tick so jobs still draining keep their
-                // deadlines during shutdown.
-                state.cancel_overdue(Instant::now());
-            })
-        });
         let acceptor = {
             let state = Arc::clone(&state);
             thread::spawn(move || accept_loop(&listener, &state))
         };
+        let deadlines = state.opts.deadline.is_some();
         while !acceptor.is_finished() && !state.is_draining() {
+            if deadlines {
+                state.cancel_overdue(Instant::now());
+            }
             if should_term() {
                 state.begin_drain();
             } else {
                 thread::sleep(WATCH_POLL);
             }
+        }
+        // One final tick so jobs still draining keep their deadlines
+        // during shutdown.
+        if deadlines {
+            state.cancel_overdue(Instant::now());
         }
         // The acceptor is blocked in accept() unless it died: wake it with
         // a connection of our own (loopback when bound to a wildcard
@@ -170,9 +165,6 @@ impl Server {
             let _ = w.join();
         }
         state.join_committer(committer);
-        if let Some(s) = supervisor {
-            let _ = s.join();
-        }
         for h in handlers {
             let _ = h.join();
         }
@@ -239,13 +231,8 @@ fn worker_loop(state: &Arc<ServeState>, worker: usize) {
             batch_job = batch_job.cancel_token(t.clone());
         }
         if !chaos.plan.faults.is_empty() {
-            let plan = chaos.plan.clone();
-            batch_job = batch_job.with_setup(move |env| {
-                for r in plan.guard_ranges(HEAP_BASE) {
-                    env.machine_mut().mem.add_guard(r);
-                }
-                env.attach_fault_hook(Box::new(ArmedFaults::new(&plan)));
-            });
+            let plan = chaos.plan;
+            batch_job = batch_job.with_setup(move |env| plan.arm(env));
         }
         let report = execute_job(&batch_job, job.id, &mut pool, worker, &backoff);
         let cancelled = matches!(report.outcome, JobOutcome::Cancelled { .. });

@@ -38,7 +38,7 @@ pub struct ServeOptions {
     /// Resume from an existing journal instead of truncating it.
     pub resume: bool,
     /// Per-job wall-clock deadline, measured from the moment a worker
-    /// starts the job; the deadline supervisor cancels overdue jobs
+    /// starts the job; the server's watcher cancels overdue jobs
     /// cooperatively.
     pub deadline: Option<Duration>,
     /// Retries per failed job (attempts = retries + 1), spaced by the
@@ -48,8 +48,9 @@ pub struct ServeOptions {
     /// latency, machine faults). `None` = no injected chaos.
     pub inject_seed: Option<u64>,
     /// Crash harness: `std::process::abort()` once this many *done*
-    /// records have been journaled — a deterministic stand-in for
-    /// `kill -9` mid-drain that the recovery tests drive.
+    /// records have been journaled by this process — a deterministic
+    /// stand-in for `kill -9` mid-drain that the recovery tests drive
+    /// ([`QueueJournal::set_crash_after`]; needs a journal).
     pub crash_after: Option<NonZeroU64>,
     /// Execution tier sessions run on.
     pub exec: ExecEngine,
@@ -147,7 +148,7 @@ pub struct ServeCounters {
     pub injected_shed: AtomicU64,
     /// Retry attempts consumed across all jobs.
     pub retries: AtomicU64,
-    /// Done records journaled (the crash harness counts these).
+    /// Done records committed (a failed append counts none).
     pub done_records: AtomicU64,
     /// Done-record batches written to the journal, one write and one
     /// fsync each.
@@ -301,18 +302,15 @@ impl ServeState {
         let mut journal = None;
         let mut recovery = QueueRecovery::default();
         if let Some(path) = &opts.journal {
-            if opts.resume && storage.exists(path) {
+            let mut j = if opts.resume && storage.exists(path) {
                 let (j, r) = QueueJournal::resume_on(&storage, path, JOURNAL_TAG, 1)?;
-                journal = Some(Mutex::new(j));
                 recovery = r;
+                j
             } else {
-                journal = Some(Mutex::new(QueueJournal::create_on(
-                    &storage,
-                    path,
-                    JOURNAL_TAG,
-                    1,
-                )?));
-            }
+                QueueJournal::create_on(&storage, path, JOURNAL_TAG, 1)?
+            };
+            j.set_crash_after(opts.crash_after);
+            journal = Some(Mutex::new(j));
         }
         let state = ServeState {
             engine,
@@ -596,8 +594,8 @@ impl ServeState {
         }
     }
 
-    /// Register a running job with the deadline supervisor; returns the
-    /// token the job must run under (or `None` when no deadline is set).
+    /// Register a running job in the deadline registry; returns the token
+    /// the job must run under (or `None` when no deadline is set).
     pub fn arm_deadline(&self, job_id: u64) -> Option<CancelToken> {
         let deadline = self.opts.deadline?;
         let token = CancelToken::new();
@@ -607,8 +605,8 @@ impl ServeState {
         Some(token)
     }
 
-    /// Supervisor tick: cancel every registered token whose deadline has
-    /// passed. Cancellation is cooperative — the worker observes the token
+    /// Deadline tick (the server's watcher runs one every 2 ms): cancel
+    /// every registered token whose deadline has passed. Cancellation is cooperative — the worker observes the token
     /// at the next instruction boundary and reports `Cancelled`.
     pub fn cancel_overdue(&self, now: Instant) -> usize {
         let mut fired = 0;
@@ -666,8 +664,9 @@ impl ServeState {
     /// The commit stage: journal `batch`'s done records with one write and
     /// one fsync, and only then, in one book section, count the jobs,
     /// flip them to `Done` and release their admission slots. When the
-    /// crash harness is armed, the batch is cut at the configured done
-    /// record and the process aborts the instant that record is durable.
+    /// crash harness is armed, the journal cuts the batch at the
+    /// configured done record and aborts the instant that record is
+    /// durable ([`QueueJournal::set_crash_after`]).
     ///
     /// Infallible by design: a failed append trips the storage breaker
     /// (new submissions shed with 503) but every completion in the batch
@@ -677,16 +676,7 @@ impl ServeState {
     fn commit(&self, batch: Vec<Completion>) {
         let mut failed = None;
         if let Some(journal) = &self.journal {
-            let mut journal = self.lock(journal);
-            let done = self.counters.done_records.load(Ordering::SeqCst);
-            let crash_after = self.opts.crash_after.map(NonZeroU64::get);
-            let cut = match crash_after {
-                Some(n) if n > done => {
-                    usize::try_from(n - done).map_or(batch.len(), |k| k.min(batch.len()))
-                }
-                _ => batch.len(),
-            };
-            let payloads: Vec<Vec<u8>> = batch[..cut]
+            let payloads: Vec<Vec<u8>> = batch
                 .iter()
                 .map(|c| encode_payload(c.sweep, &c.line))
                 .collect();
@@ -694,30 +684,20 @@ impl ServeState {
                 .iter()
                 .zip(&payloads)
                 .map(|(c, p)| (c.id, p.as_slice()));
-            match journal.complete_all(records) {
+            match self.lock(journal).complete_all(records) {
                 Ok(()) => {
-                    let done = self
-                        .counters
-                        .done_records
-                        .fetch_add(cut as u64, Ordering::SeqCst)
-                        + cut as u64;
                     self.counters.done_commits.fetch_add(1, Ordering::Relaxed);
-                    if crash_after == Some(done) {
-                        // The crash harness: die as unceremoniously as
-                        // `kill -9` (no unwinding, no drop glue, no drain)
-                        // the instant the configured done record is durable.
-                        std::process::abort();
-                    }
                 }
                 Err(e) => failed = Some(e),
             }
-        } else {
-            self.counters
-                .done_records
-                .fetch_add(batch.len() as u64, Ordering::SeqCst);
         }
-        if let Some(e) = failed {
-            self.trip_storage(&e, 0);
+        match failed {
+            Some(e) => self.trip_storage(&e, 0),
+            None => {
+                self.counters
+                    .done_records
+                    .fetch_add(batch.len() as u64, Ordering::Relaxed);
+            }
         }
         // Counted in the section that flips the jobs, so a client that
         // sees its sweep complete reads counters that include it.
@@ -856,9 +836,10 @@ impl ServeState {
         })
     }
 
-    /// One sweep's status: progress while running; on completion the
-    /// stable lines in job-id order plus their FNV-1a digest — the bytes
-    /// the crash-recovery contract compares. The lines are copied in one
+    /// One sweep's status: progress (every done job counted, in whatever
+    /// order they finished) while running; on completion the stable lines
+    /// in job-id order plus their FNV-1a digest — the bytes the
+    /// crash-recovery contract compares. The lines are copied in one
     /// section and formatted and hashed outside it.
     pub fn sweep_text(&self, id: u64) -> Option<String> {
         let (jobs, body) = {
@@ -866,12 +847,12 @@ impl ServeState {
             let ids = book.sweeps.get(&id)?;
             let mut lines = Vec::with_capacity(ids.len());
             for job_id in ids {
-                match book.jobs.get(job_id) {
-                    Some(JobStatus::Done(line)) => lines.push(line.as_str()),
-                    _ => {
-                        return Some(format!("pending {}/{} jobs done\n", lines.len(), ids.len()));
-                    }
+                if let Some(JobStatus::Done(line)) = book.jobs.get(job_id) {
+                    lines.push(line.as_str());
                 }
+            }
+            if lines.len() < ids.len() {
+                return Some(format!("pending {}/{} jobs done\n", lines.len(), ids.len()));
             }
             let mut body = String::with_capacity(lines.iter().map(|l| l.len() + 1).sum());
             for line in lines {
@@ -955,6 +936,22 @@ mod tests {
         assert!(state.job_text(1).unwrap().contains("queued"));
         assert!(state.job_text(99).is_none());
         assert!(state.sweep_text(s1).unwrap().starts_with("pending 0/2"));
+    }
+
+    #[test]
+    fn sweep_progress_counts_jobs_finished_out_of_id_order() {
+        let state = ServeState::new(ServeOptions::default()).unwrap();
+        let (sweep, _) = state.submit(&specs(&["p_add n=8", "p_add n=16"])).unwrap();
+        let first = state.try_next_job().unwrap();
+        let second = state.try_next_job().unwrap();
+        state.finish(&second, "job-2 ok".to_string(), 1, false, false);
+        assert!(state.job_text(second.id).unwrap().contains("done"));
+        assert_eq!(state.sweep_text(sweep).unwrap(), "pending 1/2 jobs done\n");
+        state.finish(&first, "job-1 ok".to_string(), 1, false, false);
+        assert!(state
+            .sweep_text(sweep)
+            .unwrap()
+            .starts_with("complete jobs=2\n"));
     }
 
     #[test]
