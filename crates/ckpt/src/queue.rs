@@ -407,6 +407,38 @@ mod tests {
     }
 
     #[test]
+    fn crash_points_derive_in_range() {
+        for seed in 0..64u64 {
+            for jobs in [1u64, 2, 24, 40] {
+                let p = crash_point(seed, jobs);
+                assert_eq!(p, crash_point(seed, jobs), "pure function");
+                assert!(
+                    (1..=jobs).contains(&p.get()),
+                    "crash@{p} out of [1, {jobs}]"
+                );
+            }
+        }
+        // Different seeds spread over the range.
+        let distinct: std::collections::HashSet<u64> =
+            (0..64).map(|s| crash_point(s, 40).get()).collect();
+        assert!(
+            distinct.len() > 8,
+            "only {} distinct ordinals",
+            distinct.len()
+        );
+        // Pinned draws, so a changed key or offset cannot pass: the first
+        // is the crash point of CI's `repro --max-n 10000 --crash-seed
+        // 0xc4a5` (102 jobs), which prints `crash@59`.
+        assert_eq!(crash_point(0xc4a5, 102).get(), 59);
+        assert_eq!(crash_point(0xc4a5, 86).get(), 47);
+        assert_eq!(
+            (0..8).map(|s| crash_point(s, 40).get()).collect::<Vec<_>>(),
+            [33, 14, 13, 32, 2, 18, 3, 1]
+        );
+        assert_eq!(crash_point(63, 24).get(), 24);
+    }
+
+    #[test]
     fn resume_appends_after_the_valid_prefix() {
         let dir = tmpdir("append");
         let path = dir.join("q.journal");

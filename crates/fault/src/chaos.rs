@@ -14,8 +14,8 @@
 //! The harness is shared by the `chaos` integration test (tier-1) and the
 //! `ablation_faults` bench binary (scaled-up manifest run).
 
-use crate::{FaultPlan, XorShift64};
-use rvv_ckpt::fnv1a;
+use crate::FaultPlan;
+use rvv_ckpt::{fnv1a, XorShift64};
 use rvv_isa::Sew;
 use scanvec::{Engine, EnvConfig, ExecEngine, ScanEnv, ScanResult};
 use scanvec_algos as algos;

@@ -7,12 +7,12 @@
 //!
 //! * [`FaultPlan`] — a seeded description of *which* faults to
 //!   inject *where*, derived from `(seed, job_index)` with the workspace's
-//!   one seeded stream, [`XorShift64`] (defined in `rvv-ckpt`, re-exported
-//!   here; no `rand` dependency anywhere near the injection path).
-//!   [`FaultPlan::arm`] is the one way to arm a plan on an environment.
-//! * [`ArmedFaults`] — the [`rvv_sim::FaultHook`] `arm` attaches: it fires
-//!   a plan's faults at exact instruction/access ordinals, identically on
-//!   every run-loop tier.
+//!   one seeded stream, [`rvv_ckpt::XorShift64`] (no `rand` dependency
+//!   anywhere near the injection path). [`FaultPlan::arm`] is the one way
+//!   to arm a plan on an environment: it guards the plan's heap regions
+//!   and attaches a [`rvv_sim::FaultHook`] that fires the other faults at
+//!   exact instruction/access ordinals, identically on every run-loop
+//!   tier.
 //! * [`ServeFault`] and [`StorageFault`] — the same keyed draws for the
 //!   sweep service's per-job chaos and the storage-chaos matrix.
 //! * [`chaos`] — a differential harness that runs the eight scan-vector
@@ -33,7 +33,7 @@
 
 pub mod chaos;
 
-pub use rvv_ckpt::XorShift64;
+use rvv_ckpt::XorShift64;
 use rvv_isa::{decode, encode, Instr};
 use rvv_sim::{FaultAction, FaultHook, MemAccess, SimError};
 use scanvec::{ScanEnv, HEAP_BASE};
@@ -213,7 +213,7 @@ impl FaultPlan {
     }
 
     /// Arm this plan on `env` for one attempt: its guard regions over the
-    /// device heap, and an [`ArmedFaults`] hook for everything else. The
+    /// device heap, and a fault hook for everything else. The
     /// environment's reset between attempts clears both, so a job arms
     /// its plan in the setup that runs before each attempt.
     pub fn arm(&self, env: &mut ScanEnv) {
@@ -399,7 +399,7 @@ impl fmt::Display for StorageFault {
 /// the counters are the job's, not the launch's, so a fault can fire in
 /// any kernel the job launches.
 #[derive(Debug, Clone)]
-pub struct ArmedFaults {
+struct ArmedFaults {
     faults: Vec<Fault>,
     instrs: u64,
     reads: u64,

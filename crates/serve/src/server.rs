@@ -112,7 +112,11 @@ impl Server {
     /// sync the journal, return `Ok(())`. The calling thread polls
     /// `should_term` and the drain flag every few milliseconds; requests
     /// never wait on that poll, since the acceptor blocks in `accept()`
-    /// on its own thread. An accept error ends the run with that error.
+    /// on its own thread. The same loop ticks the deadline registry
+    /// ([`ServeState::cancel_overdue`]) when `ServeOptions::deadline` is
+    /// set, so `should_term` must return at once: while it blocks, overdue
+    /// jobs are not cancelled. An accept error ends the run with that
+    /// error.
     pub fn serve_until(self, should_term: impl Fn() -> bool) -> io::Result<()> {
         let Server {
             state,

@@ -9,7 +9,7 @@
 //! about a job may live only in process memory.
 
 use rvv_batch::BatchJob;
-use rvv_fault::XorShift64;
+use rvv_ckpt::XorShift64;
 use rvv_isa::Lmul;
 use scanvec::primitives::{p_add, plus_scan, seg_plus_scan};
 use scanvec::EnvConfig;

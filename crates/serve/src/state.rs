@@ -606,8 +606,9 @@ impl ServeState {
     }
 
     /// Deadline tick (the server's watcher runs one every 2 ms): cancel
-    /// every registered token whose deadline has passed. Cancellation is cooperative — the worker observes the token
-    /// at the next instruction boundary and reports `Cancelled`.
+    /// every registered token whose deadline has passed. Cancellation is
+    /// cooperative — the worker observes the token at the next
+    /// instruction boundary and reports `Cancelled`.
     pub fn cancel_overdue(&self, now: Instant) -> usize {
         let mut fired = 0;
         self.book().deadlines.retain(|(at, _, token)| {

@@ -11,8 +11,7 @@
 //! service's invariants are checked against the durable journal bytes.
 
 use super::*;
-use rvv_ckpt::{ChaosBackend, ChaosPlan};
-use rvv_fault::XorShift64;
+use rvv_ckpt::{ChaosBackend, ChaosPlan, XorShift64};
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::rc::Rc;
